@@ -155,31 +155,42 @@ std::optional<Mnemonic> mnemonic_from_name(std::string_view text) {
 
 namespace {
 
+/// prefix + s, built by appending.  `const char* + std::string&&` inserts at
+/// the front, which GCC 12 flags with a false-positive -Wrestrict inside
+/// std::char_traits and so breaks the warnings-as-errors build.
+std::string prefixed(const char* prefix, const std::string& s) {
+  std::string out = prefix;
+  out += s;
+  return out;
+}
+
+std::string hex_digits(unsigned long v) {
+  std::ostringstream os;
+  os << std::hex << v;
+  return os.str();
+}
+
 std::string mem_operand(const Instruction& in) {
   switch (in.mode) {
-    case AddrMode::kAbs: return "0x" + [&] {
-      std::ostringstream os;
-      os << std::hex << in.k16;
-      return os.str();
-    }();
+    case AddrMode::kAbs: return prefixed("0x", hex_digits(in.k16));
     case AddrMode::kX: return "X";
     case AddrMode::kXPostInc: return "X+";
     case AddrMode::kXPreDec: return "-X";
     case AddrMode::kY: return "Y";
     case AddrMode::kYPostInc: return "Y+";
     case AddrMode::kYPreDec: return "-Y";
-    case AddrMode::kYDisp: return "Y+" + std::to_string(in.q);
+    case AddrMode::kYDisp: return prefixed("Y+", std::to_string(in.q));
     case AddrMode::kZ: return "Z";
     case AddrMode::kZPostInc: return "Z+";
     case AddrMode::kZPreDec: return "-Z";
-    case AddrMode::kZDisp: return "Z+" + std::to_string(in.q);
+    case AddrMode::kZDisp: return prefixed("Z+", std::to_string(in.q));
     case AddrMode::kR0: return "";  // implicit-R0 LPM has no operands
     case AddrMode::kNone: break;
   }
   return "?";
 }
 
-std::string reg(std::uint8_t r) { return "r" + std::to_string(r); }
+std::string reg(std::uint8_t r) { return prefixed("r", std::to_string(r)); }
 
 }  // namespace
 
@@ -205,14 +216,10 @@ std::string to_string(const Instruction& in) {
       append(reg(in.rd));
       break;
     case OS::kRelK:
-      append("." + std::to_string(in.rel * 2));  // byte offset, GNU style
+      append(prefixed(".", std::to_string(in.rel * 2)));  // byte offset, GNU style
       break;
     case OS::kAbsK:
-      append("0x" + [&] {
-        std::ostringstream os;
-        os << std::hex << in.k22 * 2;
-        return os.str();
-      }());
+      append(prefixed("0x", hex_digits(in.k22 * 2)));
       break;
     case OS::kRdMem: {
       if (in.mode != AddrMode::kR0) append(reg(in.rd));
@@ -236,7 +243,7 @@ std::string to_string(const Instruction& in) {
       break;
     case OS::kSflagRel:
       append(std::to_string(in.sflag));
-      append("." + std::to_string(in.rel * 2));
+      append(prefixed(".", std::to_string(in.rel * 2)));
       break;
     case OS::kSflag:
       append(std::to_string(in.sflag));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -29,15 +30,18 @@ BigramPrior::BigramPrior(std::size_t num_classes, double smoothing)
 }
 
 void BigramPrior::add_program(const avr::Program& program) {
-  std::optional<std::size_t> prev;
+  // A plain sentinel rather than std::optional: GCC 12 reports the optional's
+  // payload as maybe-uninitialized once add_transition is inlined.
+  constexpr std::size_t kNoPrev = SIZE_MAX;
+  std::size_t prev = kNoPrev;
   for (const avr::Instruction& in : program) {
     const auto cls = avr::class_of(in);
     if (!cls || *cls >= num_classes()) {
-      prev.reset();  // unprofiled instruction breaks the chain
+      prev = kNoPrev;  // unprofiled instruction breaks the chain
       continue;
     }
-    if (prev) add_transition(*prev, *cls);
-    prev = cls;
+    if (prev != kNoPrev) add_transition(prev, *cls);
+    prev = *cls;
   }
 }
 

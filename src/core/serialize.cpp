@@ -1,10 +1,12 @@
 #include "core/serialize.hpp"
 
+#include <cstdlib>
 #include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace sidis::core {
 
@@ -41,14 +43,46 @@ double read_double(std::istream& is) {
   std::string tok;
   if (!(is >> tok)) corrupt("truncated number");
   // std::hexfloat extraction is unreliable across standard libraries; strtod
-  // handles the 0x1.abcp+n form everywhere.
-  return std::strtod(tok.c_str(), nullptr);
+  // handles the 0x1.abcp+n form everywhere.  A token strtod does not consume
+  // whole is garbage, not a number with trailing text.
+  char* end = nullptr;
+  const double v = std::strtod(tok.c_str(), &end);
+  if (end != tok.c_str() + tok.size()) corrupt("bad number '" + tok + "'");
+  return v;
 }
+
+// No field of a real archive comes near this: the largest are element counts
+// of a matrix and training-window counts.  Kept below 2^32 so that a matrix's
+// rows * cols cannot wrap a 64-bit size.
+constexpr long long kMaxSizeField = (1LL << 32) - 1;
 
 std::size_t read_size(std::istream& is) {
   long long v = 0;
-  if (!(is >> v) || v < 0) corrupt("bad size field");
+  if (!(is >> v) || v < 0 || v > kMaxSizeField) corrupt("bad size field");
   return static_cast<std::size_t>(v);
+}
+
+/// Refuses `elements` numbers the unread input cannot hold (each takes at
+/// least a separator and one digit), so a corrupt count never reaches the
+/// allocator.  A stream that cannot seek (a pipe) reports no size; its counts
+/// are bounded by kMaxSizeField alone.
+void expect_elements(std::istream& is, std::size_t elements) {
+  if (elements == 0) return;
+  const std::istream::pos_type here = is.tellg();
+  if (here == std::istream::pos_type(-1)) return;
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(here);
+  if (!is || end == std::istream::pos_type(-1)) corrupt("unseekable archive stream");
+  if (elements > static_cast<std::size_t>(end - here) / 2) {
+    corrupt("count " + std::to_string(elements) + " exceeds the archive");
+  }
+}
+
+std::size_t read_count(std::istream& is) {
+  const std::size_t n = read_size(is);
+  expect_elements(is, n);
+  return n;
 }
 
 }  // namespace
@@ -64,7 +98,7 @@ void write_vector(std::ostream& os, const linalg::Vector& v) {
 
 linalg::Vector read_vector(std::istream& is) {
   expect_tag(is, "vec");
-  linalg::Vector v(read_size(is));
+  linalg::Vector v(read_count(is));
   for (double& x : v) x = read_double(is);
   return v;
 }
@@ -82,6 +116,7 @@ linalg::Matrix read_matrix(std::istream& is) {
   expect_tag(is, "mat");
   const std::size_t rows = read_size(is);
   const std::size_t cols = read_size(is);
+  expect_elements(is, rows * cols);
   linalg::Matrix m(rows, cols);
   for (double& x : m.data()) x = read_double(is);
   return m;
@@ -156,7 +191,7 @@ features::FeaturePipeline load_pipeline(std::istream& is) {
   expect_tag(is, "grid");
   const std::size_t grid = read_size(is);
   expect_tag(is, "points");
-  std::vector<stats::GridPoint> points(read_size(is));
+  std::vector<stats::GridPoint> points(read_count(is));
   for (stats::GridPoint& p : points) {
     p.j = read_size(is);
     p.k = read_size(is);
@@ -192,7 +227,7 @@ void save_qda(std::ostream& os, const ml::Qda& qda) {
 
 ml::Qda load_qda(std::istream& is) {
   expect_tag(is, "qda");
-  const std::size_t n = read_size(is);
+  const std::size_t n = read_count(is);
   std::vector<int> labels(n);
   std::vector<stats::MultivariateGaussian> models;
   std::vector<double> priors(n);

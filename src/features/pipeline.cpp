@@ -290,31 +290,23 @@ linalg::Matrix FeaturePipeline::transform_soa_batch(
 
   // Stage 3: PCA projection, component-outer with register-tiled lanes.
   // Each output row c accumulates centered-f * axis over points in ascending
-  // order -- the scalar Pca::transform reduction -- but a linalg::LaneTile
-  // of lanes rides in registers across the whole point loop, so the row
-  // costs zero stores per point instead of one per (point, lane).  Tiling
-  // picks which lane runs when; each lane's sum order is untouched, so
-  // columns stay bit-identical to the scalar pipeline.
+  // order -- the scalar Pca::transform reduction -- but each tile of lanes
+  // (full or tail, see linalg::for_each_lane_tile) rides in registers across
+  // the whole point loop, so the row costs zero stores per point instead of
+  // one per (point, lane).  Tiling picks which lane runs when; each lane's
+  // sum order is untouched, so columns stay bit-identical to the scalar
+  // pipeline.
   const linalg::Matrix& axes = pca_.components();
   const double* __restrict fbase = f.row(0).data();
   linalg::Matrix z(k, lanes, 0.0);
   for (std::size_t c = 0; c < k; ++c) {
     double* __restrict zrow = z.row(c).data();
-    std::size_t l0 = 0;
-    for (; l0 + linalg::kLaneTile <= lanes; l0 += linalg::kLaneTile) {
-      linalg::LaneTile acc;
+    linalg::for_each_lane_tile(lanes, [&](auto acc, std::size_t l0) {
       for (std::size_t p = 0; p < np; ++p) {
         acc.mul_add(axes(p, c), fbase + p * lanes + l0);
       }
       acc.store(zrow + l0);
-    }
-    for (; l0 < lanes; ++l0) {
-      double a = 0.0;
-      for (std::size_t p = 0; p < np; ++p) {
-        a += fbase[p * lanes + l0] * axes(p, c);
-      }
-      zrow[l0] = a;
-    }
+    });
   }
   return z;
 }

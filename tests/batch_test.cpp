@@ -25,6 +25,10 @@
 namespace sidis {
 namespace {
 
+// Kernel-level identity sweeps run every lane count up to here: one and two
+// full 16-lane tiles, alone and followed by every 8/4/2/1 tail combination.
+constexpr std::size_t kSweepLanes = 40;
+
 std::vector<double> random_signal(std::size_t n, std::mt19937_64& rng) {
   std::normal_distribution<double> dist(0.0, 1.0);
   std::vector<double> out(n);
@@ -88,23 +92,27 @@ TEST_P(CwtBatchTest, TransformBatchMatchesScalarTransforms) {
   const dsp::Cwt cwt(cfg);
   dsp::CwtBatchWorkspace bws;
   for (const std::size_t n : {std::size_t{315}, std::size_t{200}}) {
-    for (const std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
-      std::vector<std::vector<double>> traces;
-      for (std::size_t l = 0; l < lanes; ++l) traces.push_back(random_signal(n, rng));
-      std::vector<const std::vector<double>*> ptrs;
-      for (const auto& t : traces) ptrs.push_back(&t);
-
+    std::vector<std::vector<double>> traces;
+    std::vector<const std::vector<double>*> ptrs;
+    std::vector<dsp::Scalogram> refs;
+    for (std::size_t l = 0; l < kSweepLanes; ++l) {
+      traces.push_back(random_signal(n, rng));
+      refs.push_back(cwt.transform(traces.back()));
+    }
+    for (const auto& t : traces) ptrs.push_back(&t);
+    for (std::size_t lanes = 1; lanes <= kSweepLanes; ++lanes) {
       const std::vector<dsp::Scalogram> batch =
-          cwt.transform_batch({ptrs.data(), ptrs.size()}, bws);
+          cwt.transform_batch({ptrs.data(), lanes}, bws);
       ASSERT_EQ(batch.size(), lanes);
       for (std::size_t l = 0; l < lanes; ++l) {
-        const dsp::Scalogram ref = cwt.transform(traces[l]);
+        const dsp::Scalogram& ref = refs[l];
         ASSERT_EQ(batch[l].rows(), ref.rows());
         ASSERT_EQ(batch[l].cols(), ref.cols());
         for (std::size_t j = 0; j < ref.rows(); ++j) {
           for (std::size_t k = 0; k < ref.cols(); ++k) {
-            ASSERT_EQ(batch[l](j, k), ref(j, k))
-                << "n=" << n << " lane " << l << " scale " << j << " t " << k;
+            ASSERT_EQ(batch[l](j, k), ref(j, k)) << "n=" << n << " lanes " << lanes
+                                                 << " lane " << l << " scale " << j
+                                                 << " t " << k;
           }
         }
       }
@@ -136,20 +144,23 @@ TEST_P(CwtBatchTest, CoefficientsBatchMatchesScalarColumns) {
   js.push_back(3);  // duplicate of a dense-scale point
   ks.push_back(7);
 
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
-    std::vector<std::vector<double>> traces;
-    for (std::size_t l = 0; l < lanes; ++l) traces.push_back(random_signal(n, rng));
-    std::vector<const std::vector<double>*> ptrs;
-    for (const auto& t : traces) ptrs.push_back(&t);
-
-    const linalg::Matrix batch = cwt.coefficients_batch(
-        {ptrs.data(), ptrs.size()}, js, ks, bws);
+  std::vector<std::vector<double>> traces;
+  std::vector<const std::vector<double>*> ptrs;
+  std::vector<linalg::Vector> refs;
+  for (std::size_t l = 0; l < kSweepLanes; ++l) {
+    traces.push_back(random_signal(n, rng));
+    refs.push_back(cwt.coefficients(traces.back(), js, ks, sws));
+  }
+  for (const auto& t : traces) ptrs.push_back(&t);
+  for (std::size_t lanes = 1; lanes <= kSweepLanes; ++lanes) {
+    const linalg::Matrix batch =
+        cwt.coefficients_batch({ptrs.data(), lanes}, js, ks, bws);
     ASSERT_EQ(batch.rows(), js.size());
     ASSERT_EQ(batch.cols(), lanes);
     for (std::size_t l = 0; l < lanes; ++l) {
-      const linalg::Vector ref = cwt.coefficients(traces[l], js, ks, sws);
       for (std::size_t i = 0; i < js.size(); ++i) {
-        ASSERT_EQ(batch(i, l), ref[i]) << "lane " << l << " point " << i;
+        ASSERT_EQ(batch(i, l), refs[l][i])
+            << "lanes " << lanes << " lane " << l << " point " << i;
       }
     }
   }
@@ -190,18 +201,20 @@ TEST(LinalgBatch, MahalanobisBatchMatchesScalar) {
   const linalg::Cholesky chol = linalg::Cholesky::compute(spd);
   ASSERT_TRUE(chol.valid);
 
-  const std::size_t lanes = 9;
-  linalg::Matrix x_cols(dim, lanes);
-  for (std::size_t r = 0; r < dim; ++r) {
-    for (std::size_t l = 0; l < lanes; ++l) x_cols(r, l) = random_signal(1, rng)[0];
-  }
-  std::vector<double> out(lanes);
   linalg::Matrix scratch;
-  chol.mahalanobis_squared_batch(x_cols, out, scratch);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    linalg::Vector x(dim);
-    for (std::size_t r = 0; r < dim; ++r) x[r] = x_cols(r, l);
-    EXPECT_EQ(out[l], chol.mahalanobis_squared(x)) << "lane " << l;
+  for (std::size_t lanes = 1; lanes <= kSweepLanes; ++lanes) {
+    linalg::Matrix x_cols(dim, lanes);
+    for (std::size_t r = 0; r < dim; ++r) {
+      for (std::size_t l = 0; l < lanes; ++l) x_cols(r, l) = random_signal(1, rng)[0];
+    }
+    std::vector<double> out(lanes);
+    chol.mahalanobis_squared_batch(x_cols, out, scratch);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      linalg::Vector x(dim);
+      for (std::size_t r = 0; r < dim; ++r) x[r] = x_cols(r, l);
+      ASSERT_EQ(out[l], chol.mahalanobis_squared(x))
+          << "lanes " << lanes << " lane " << l;
+    }
   }
 }
 
@@ -214,18 +227,19 @@ TEST(StatsBatch, GaussianLogPdfBatchMatchesScalar) {
   }
   const auto g = stats::MultivariateGaussian::fit(data);
 
-  const std::size_t lanes = 6;
-  linalg::Matrix x_cols(dim, lanes);
-  for (std::size_t r = 0; r < dim; ++r) {
-    for (std::size_t l = 0; l < lanes; ++l) x_cols(r, l) = random_signal(1, rng)[0];
-  }
-  std::vector<double> out(lanes);
   linalg::Matrix centered, solve;
-  g.log_pdf_batch(x_cols, out, centered, solve);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    linalg::Vector x(dim);
-    for (std::size_t r = 0; r < dim; ++r) x[r] = x_cols(r, l);
-    EXPECT_EQ(out[l], g.log_pdf(x)) << "lane " << l;
+  for (std::size_t lanes = 1; lanes <= kSweepLanes; ++lanes) {
+    linalg::Matrix x_cols(dim, lanes);
+    for (std::size_t r = 0; r < dim; ++r) {
+      for (std::size_t l = 0; l < lanes; ++l) x_cols(r, l) = random_signal(1, rng)[0];
+    }
+    std::vector<double> out(lanes);
+    g.log_pdf_batch(x_cols, out, centered, solve);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      linalg::Vector x(dim);
+      for (std::size_t r = 0; r < dim; ++r) x[r] = x_cols(r, l);
+      ASSERT_EQ(out[l], g.log_pdf(x)) << "lanes " << lanes << " lane " << l;
+    }
   }
 }
 
@@ -246,26 +260,29 @@ TEST(MlBatch, QdaPredictScoredBatchMatchesScalar) {
   ml::Qda qda;
   qda.fit(train);
 
-  const std::size_t lanes = 11;
-  linalg::Matrix x_cols(dim, lanes);
-  for (std::size_t r = 0; r < dim; ++r) {
-    for (std::size_t l = 0; l < lanes; ++l) {
-      x_cols(r, l) = random_signal(1, rng)[0] + 2.0 * (l % 3);
+  linalg::Matrix x_cols;
+  for (std::size_t lanes = 1; lanes <= kSweepLanes; ++lanes) {
+    x_cols = linalg::Matrix(dim, lanes);
+    for (std::size_t r = 0; r < dim; ++r) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        x_cols(r, l) = random_signal(1, rng)[0] + 2.0 * (l % 3);
+      }
     }
-  }
-  const std::vector<ml::ScoredPrediction> batch = qda.predict_scored_batch(x_cols);
-  const linalg::Matrix scores = qda.scores_batch(x_cols);
-  ASSERT_EQ(batch.size(), lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    linalg::Vector x(dim);
-    for (std::size_t r = 0; r < dim; ++r) x[r] = x_cols(r, l);
-    const ml::ScoredPrediction ref = qda.predict_scored(x);
-    EXPECT_EQ(batch[l].label, ref.label) << "lane " << l;
-    EXPECT_EQ(batch[l].top_score, ref.top_score) << "lane " << l;
-    EXPECT_EQ(batch[l].margin, ref.margin) << "lane " << l;
-    const linalg::Vector sref = qda.scores(x);
-    for (std::size_t c = 0; c < sref.size(); ++c) {
-      EXPECT_EQ(scores(c, l), sref[c]) << "lane " << l << " class " << c;
+    const std::vector<ml::ScoredPrediction> batch = qda.predict_scored_batch(x_cols);
+    const linalg::Matrix scores = qda.scores_batch(x_cols);
+    ASSERT_EQ(batch.size(), lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      linalg::Vector x(dim);
+      for (std::size_t r = 0; r < dim; ++r) x[r] = x_cols(r, l);
+      const ml::ScoredPrediction ref = qda.predict_scored(x);
+      ASSERT_EQ(batch[l].label, ref.label) << "lanes " << lanes << " lane " << l;
+      ASSERT_EQ(batch[l].top_score, ref.top_score) << "lanes " << lanes << " lane " << l;
+      ASSERT_EQ(batch[l].margin, ref.margin) << "lanes " << lanes << " lane " << l;
+      const linalg::Vector sref = qda.scores(x);
+      for (std::size_t c = 0; c < sref.size(); ++c) {
+        ASSERT_EQ(scores(c, l), sref[c])
+            << "lanes " << lanes << " lane " << l << " class " << c;
+      }
     }
   }
 
@@ -275,7 +292,7 @@ TEST(MlBatch, QdaPredictScoredBatchMatchesScalar) {
   lda.fit(train);
   const ml::Classifier& base = lda;
   const std::vector<ml::ScoredPrediction> fallback = base.predict_scored_batch(x_cols);
-  for (std::size_t l = 0; l < lanes; ++l) {
+  for (std::size_t l = 0; l < x_cols.cols(); ++l) {
     linalg::Vector x(dim);
     for (std::size_t r = 0; r < dim; ++r) x[r] = x_cols(r, l);
     const ml::ScoredPrediction ref = lda.predict_scored(x);
@@ -303,10 +320,10 @@ TEST(FeaturesBatch, TransformPreparedBatchMatchesScalarColumns) {
   const auto pipeline = features::FeaturePipeline::fit(input, cfg);
 
   std::vector<std::vector<double>> prepared;
-  for (int i = 0; i < 9; ++i) {
+  for (std::size_t i = 0; i < kSweepLanes; ++i) {
     const sim::Trace t = campaign.capture_trace(
         avr::random_instance(*avr::class_index(avr::Mnemonic::kAdd), rng),
-        sim::ProgramContext::make(i % 3), rng);
+        sim::ProgramContext::make(static_cast<int>(i % 3)), rng);
     prepared.push_back(features::FeaturePipeline::preprocess_window(
         t, cfg.per_trace_normalization));
   }
@@ -318,16 +335,21 @@ TEST(FeaturesBatch, TransformPreparedBatchMatchesScalarColumns) {
   const std::size_t fitted = pipeline.max_components();
   ASSERT_GE(fitted, 2u);
   for (const std::size_t components : {fitted, fitted - 1}) {
-    const linalg::Matrix batch = pipeline.transform_prepared_batch(
-        {ptrs.data(), ptrs.size()}, components, bws);
-    ASSERT_EQ(batch.rows(), components);
-    ASSERT_EQ(batch.cols(), prepared.size());
-    for (std::size_t w = 0; w < prepared.size(); ++w) {
-      const linalg::Vector ref =
-          pipeline.transform_prepared(prepared[w], components, sws);
-      ASSERT_EQ(ref.size(), components);
-      for (std::size_t c = 0; c < components; ++c) {
-        ASSERT_EQ(batch(c, w), ref[c]) << "window " << w << " component " << c;
+    std::vector<linalg::Vector> refs;
+    for (const auto& p : prepared) {
+      refs.push_back(pipeline.transform_prepared(p, components, sws));
+      ASSERT_EQ(refs.back().size(), components);
+    }
+    for (std::size_t lanes = 1; lanes <= kSweepLanes; ++lanes) {
+      const linalg::Matrix batch =
+          pipeline.transform_prepared_batch({ptrs.data(), lanes}, components, bws);
+      ASSERT_EQ(batch.rows(), components);
+      ASSERT_EQ(batch.cols(), lanes);
+      for (std::size_t w = 0; w < lanes; ++w) {
+        for (std::size_t c = 0; c < components; ++c) {
+          ASSERT_EQ(batch(c, w), refs[w][c])
+              << "lanes " << lanes << " window " << w << " component " << c;
+        }
       }
     }
   }
@@ -416,8 +438,9 @@ TEST_F(BatchModelFixture, BitIdenticalAcrossBatchSizes) {
   }
   EXPECT_GT(with_rd, 0u) << "eval pool never reached the register level";
 
-  for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{7},
-                              std::size_t{16}, std::size_t{64}}) {
+  for (const std::size_t k :
+       {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{16}, std::size_t{17},
+        std::size_t{23}, std::size_t{31}, std::size_t{64}}) {
     const sim::TraceSet windows(pool.begin(), pool.begin() + static_cast<long>(k));
     const std::vector<core::Disassembly> batch = model().classify_batch(windows);
     ASSERT_EQ(batch.size(), k);

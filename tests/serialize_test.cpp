@@ -33,6 +33,22 @@ TEST(Serialize, CorruptArchivesThrow) {
   EXPECT_THROW(read_matrix(tag), std::runtime_error);
   std::stringstream neg("mat -1 2");
   EXPECT_THROW(read_matrix(neg), std::runtime_error);
+
+  // A token strtod cannot consume whole is refused, not read as 0.0 or as
+  // its numeric prefix.
+  std::stringstream garbage("vec 2 0x1p+0 bogus");
+  EXPECT_THROW(read_vector(garbage), std::runtime_error);
+  std::stringstream trailing("vec 1 0x1p+0junk");
+  EXPECT_THROW(read_vector(trailing), std::runtime_error);
+
+  // Size fields the remaining input cannot back, or beyond any real archive,
+  // throw before anything is allocated for them.
+  std::stringstream huge_vec("vec 1000000000 0x1p+0");
+  EXPECT_THROW(read_vector(huge_vec), std::runtime_error);
+  std::stringstream huge_mat("mat 4294967295 4294967295 0x1p+0");
+  EXPECT_THROW(read_matrix(huge_mat), std::runtime_error);
+  std::stringstream over_cap("vec 99999999999999 0x1p+0");
+  EXPECT_THROW(read_vector(over_cap), std::runtime_error);
 }
 
 TEST(Serialize, QdaRoundTripPredictsIdentically) {
