@@ -24,10 +24,12 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/csa.hpp"
 #include "core/hierarchical.hpp"
+#include "linalg/lane_kernels.hpp"
 #include "sim/acquisition.hpp"
 
 namespace {
@@ -67,6 +69,8 @@ void write_json(const std::string& path, std::size_t n_classes, std::size_t pool
     if (r.batch == 16) speedup16 = r.speedup;
   }
   std::fprintf(f, "{\n  \"bench\": \"batch\",\n");
+  std::fprintf(f, "  \"host\": {\"hardware_threads\": %u, \"lane_isa\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), linalg::lane_isa());
   std::fprintf(f,
                "  \"config\": {\"classes\": %zu, \"pool\": %zu, \"passes\": %zu},\n",
                n_classes, pool, passes);
@@ -96,6 +100,7 @@ void write_json(const std::string& path, std::size_t n_classes, std::size_t pool
 
 int main() {
   bench::print_header("Batch-vectorized hot path -- classify_batch vs classify");
+  std::printf("  lane kernels: %s\n", linalg::lane_isa());
   std::mt19937_64 rng(static_cast<std::uint64_t>(bench::env_int("SIDIS_SEED", 61)));
   const sim::AcquisitionCampaign campaign(sim::DeviceModel::make(0),
                                           sim::SessionContext::make(0));

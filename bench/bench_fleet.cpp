@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/hierarchical.hpp"
+#include "linalg/lane_kernels.hpp"
 #include "runtime/fleet.hpp"
 #include "runtime/streaming.hpp"
 
@@ -255,6 +256,8 @@ void write_json(const std::string& path, std::size_t streams,
                             reject.shed == 0 &&
                             reject.admitted == reject.delivered;
   std::fprintf(f, "{\n  \"bench\": \"fleet\",\n");
+  std::fprintf(f, "  \"host\": {\"hardware_threads\": %u, \"lane_isa\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), linalg::lane_isa());
   std::fprintf(f,
                "  \"config\": {\"streams\": %zu, \"windows_per_stream\": %zu, "
                "\"shards\": %zu, \"workers_per_shard\": %zu, \"batch_max\": %zu, "
@@ -315,8 +318,8 @@ void write_json(const std::string& path, std::size_t streams,
 
 int main() {
   bench::print_header("Fleet serving -- shared shards vs dedicated engines");
-  std::printf("  host reports %u hardware thread(s)\n",
-              std::thread::hardware_concurrency());
+  std::printf("  host reports %u hardware thread(s), lane kernels: %s\n",
+              std::thread::hardware_concurrency(), linalg::lane_isa());
   std::mt19937_64 rng(static_cast<std::uint64_t>(bench::env_int("SIDIS_SEED", 54)));
   const sim::AcquisitionCampaign campaign(sim::DeviceModel::make(0),
                                           sim::SessionContext::make(0));

@@ -17,6 +17,7 @@
 #include "core/csa.hpp"
 #include "core/disassembler.hpp"
 #include "core/profiler.hpp"
+#include "linalg/lane_kernels.hpp"
 #include "runtime/registry.hpp"
 #include "runtime/streaming.hpp"
 #include "sim/acquisition.hpp"
@@ -24,6 +25,7 @@
 using namespace sidis;
 
 int main() {
+  std::printf("streaming monitor (lane kernels: %s)\n", linalg::lane_isa());
   std::mt19937_64 rng(77);
   const sim::AcquisitionCampaign campaign(sim::DeviceModel::make(0),
                                           sim::SessionContext::make(0));

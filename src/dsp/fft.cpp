@@ -52,7 +52,7 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
   }
 }
 
-void FftPlan::run(ComplexVector& x, bool inverse) const {
+SIDIS_NO_COMPLEX_FMA void FftPlan::run(ComplexVector& x, bool inverse) const {
   if (x.size() != n_) throw std::invalid_argument("FftPlan: buffer/plan size mismatch");
 
   // The whole transform runs on the raw interleaved-double view of the
@@ -284,7 +284,8 @@ std::vector<double> magnitude_spectrum(const std::vector<double>& x) {
   return mag;
 }
 
-std::vector<double> convolve(const std::vector<double>& a, const std::vector<double>& b) {
+SIDIS_NO_COMPLEX_FMA std::vector<double> convolve(const std::vector<double>& a,
+                                                  const std::vector<double>& b) {
   if (a.empty() || b.empty()) return {};
   const std::size_t out_len = a.size() + b.size() - 1;
 

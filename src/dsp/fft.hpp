@@ -16,6 +16,18 @@
 #include <cstdint>
 #include <vector>
 
+/// Marks a function whose loops multiply interleaved complex numbers.  GCC 12
+/// vectorizes such loops into vfmaddsub/vfmadd on an FMA target even under
+/// -ffp-contract=off, which rounds differently from the SoA batch FFT and
+/// breaks batch/scalar bit-identity in a -march=native build; keeping the
+/// vectorizer out of these few functions keeps them exact.  Baseline x86-64
+/// has no FMA, so there the attribute is left off and the code is unchanged.
+#if defined(__GNUC__) && !defined(__clang__) && defined(__FMA__)
+#define SIDIS_NO_COMPLEX_FMA __attribute__((optimize("no-tree-vectorize")))
+#else
+#define SIDIS_NO_COMPLEX_FMA
+#endif
+
 namespace sidis::dsp {
 
 using Complex = std::complex<double>;

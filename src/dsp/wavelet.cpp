@@ -1,6 +1,6 @@
 #include "dsp/wavelet.hpp"
 
-#include "linalg/lanes.hpp"
+#include "linalg/lane_kernels.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -30,8 +30,8 @@ double log2d(std::size_t n) { return std::log2(static_cast<double>(n)); }
 /// out[f] = a[f] * b[f] on the raw interleaved-double views: std::complex
 /// loads/stores and operator* (Annex-G fixups) are an order of magnitude
 /// slower here -- see FftPlan::run.
-void multiply_spectra(const ComplexVector& a, const ComplexVector& b,
-                      ComplexVector& out) {
+SIDIS_NO_COMPLEX_FMA void multiply_spectra(const ComplexVector& a,
+                                           const ComplexVector& b, ComplexVector& out) {
   const std::size_t n = a.size();
   const double* ad = reinterpret_cast<const double*>(a.data());
   const double* bd = reinterpret_cast<const double*>(b.data());
@@ -322,11 +322,11 @@ std::vector<Scalogram> Cwt::transform_batch(TraceBatch traces,
 
   const double* __restrict soa = ws.soa_.data();
 
-  // Lane-parallel direct correlation of scale j: the kernel tap streams once
-  // per batch and each tap broadcasts over a tile of lanes, accumulating in
-  // the same tap order as the scalar direct_row.  Every tile -- full or
-  // tail -- keeps its accumulators in registers across the tap loop (see
-  // lanes.hpp).
+  // Lane-parallel direct correlation of scale j: one LaneDot per output
+  // sample, each lane accumulating in the same tap order as the scalar
+  // direct_row, with every tile of lanes held in registers across the tap
+  // loop (linalg::lane_kernels).
+  std::vector<linalg::LaneDot> jobs(n);
   const auto direct_row_batch = [&](std::size_t j) {
     const std::vector<double>& k = kernels_[j];
     const auto radius = static_cast<std::ptrdiff_t>(k.size() / 2);
@@ -337,19 +337,10 @@ std::vector<Scalogram> Cwt::transform_batch(TraceBatch traces,
       const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(-radius, -tt);
       const std::ptrdiff_t hi =
           std::min<std::ptrdiff_t>(radius, static_cast<std::ptrdiff_t>(n) - 1 - tt);
-      const std::size_t taps = static_cast<std::size_t>(hi - lo + 1);
-      double* __restrict acc = row + t * lanes;
-      const double* kern_lo = k.data() + (lo + radius);
-      const double* soa_lo = soa + static_cast<std::size_t>(tt + lo) * lanes;
-      linalg::for_each_lane_tile(lanes, [&](auto tile, std::size_t l0) {
-        const double* xp = soa_lo + l0;
-        for (std::size_t d = 0; d < taps; ++d) {
-          tile.mul_add(kern_lo[d], xp);
-          xp += lanes;
-        }
-        tile.store(acc + l0);
-      });
+      jobs[t] = {k.data() + (lo + radius), soa + static_cast<std::size_t>(tt + lo) * lanes,
+                 static_cast<std::size_t>(hi - lo + 1), row + t * lanes};
     }
+    linalg::lane_kernels().dots(jobs.data(), n, lanes);
     for (std::size_t l = 0; l < lanes; ++l) {
       auto dst = out[l].row(j);
       for (std::size_t t = 0; t < n; ++t) dst[t] = row[t * lanes + l];
@@ -474,9 +465,11 @@ linalg::Matrix Cwt::coefficients_soa(std::span<const double> soa_block,
 
   // Remaining points: one lane-parallel correlation per point, each lane
   // accumulating its own sum in scalar tap order (bit-identical to
-  // Cwt::coefficient on that lane).  Each tile of lanes, including the
-  // 8/4/2/1 tail of a fragmented bucket, rides in registers across the whole
-  // tap loop (see lanes.hpp for why that beats memory accumulators).
+  // Cwt::coefficient on that lane).  linalg::lane_kernels runs them with
+  // every tile of lanes, the 8/4/2/1 tail of a fragmented bucket included,
+  // in registers across the whole tap loop.
+  std::vector<linalg::LaneDot> jobs;
+  jobs.reserve(js.size());
   for (std::size_t i = 0; i < js.size(); ++i) {
     if (!row_done.empty() && row_done[js[i]] != 0) continue;
     const std::vector<double>& kern = kernels_.at(js[i]);
@@ -485,19 +478,15 @@ linalg::Matrix Cwt::coefficients_soa(std::span<const double> soa_block,
     const auto t = static_cast<std::ptrdiff_t>(ks[i]);
     const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(-radius, -t);
     const std::ptrdiff_t hi = std::min<std::ptrdiff_t>(radius, nn - 1 - t);
-    const std::size_t taps = static_cast<std::size_t>(hi - lo + 1);
-    const double* kern_lo = kern.data() + (lo + radius);
-    const double* soa_lo = soa + static_cast<std::size_t>(t + lo) * lanes;
-    double* __restrict dst = out.row(i).data();
-    linalg::for_each_lane_tile(lanes, [&](auto acc, std::size_t l0) {
-      const double* x = soa_lo + l0;
-      for (std::size_t d = 0; d < taps; ++d) {
-        acc.mul_add(kern_lo[d], x);
-        x += lanes;
-      }
-      acc.store(dst + l0);
-    });
+    // A point past the end of a short window by more than the kernel's
+    // reach has no taps; its row keeps the empty sum, 0.0, as in
+    // Cwt::coefficient.
+    if (hi < lo) continue;
+    jobs.push_back({kern.data() + (lo + radius),
+                    soa + static_cast<std::size_t>(t + lo) * lanes,
+                    static_cast<std::size_t>(hi - lo + 1), out.row(i).data()});
   }
+  linalg::lane_kernels().dots(jobs.data(), jobs.size(), lanes);
   return out;
 }
 

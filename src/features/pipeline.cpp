@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "dsp/signal.hpp"
-#include "linalg/lanes.hpp"
+#include "linalg/lane_kernels.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/acq_config.hpp"
 
@@ -288,26 +288,17 @@ linalg::Matrix FeaturePipeline::transform_soa_batch(
     for (std::size_t l = 0; l < lanes; ++l) frow[l] -= pm;
   }
 
-  // Stage 3: PCA projection, component-outer with register-tiled lanes.
-  // Each output row c accumulates centered-f * axis over points in ascending
-  // order -- the scalar Pca::transform reduction -- but each tile of lanes
-  // (full or tail, see linalg::for_each_lane_tile) rides in registers across
-  // the whole point loop, so the row costs zero stores per point instead of
-  // one per (point, lane).  Tiling picks which lane runs when; each lane's
-  // sum order is untouched, so columns stay bit-identical to the scalar
-  // pipeline.
+  // Stage 3: PCA projection with register-tiled lanes.  Each output row c
+  // accumulates centered-f * axis over points in ascending order -- the
+  // scalar Pca::transform reduction -- but each tile of lanes rides in
+  // registers across the whole point loop (linalg::lane_kernels), so the row
+  // costs zero stores per point instead of one per (point, lane).  Tiling
+  // picks which lane runs when; each lane's sum order is untouched, so
+  // columns stay bit-identical to the scalar pipeline.
   const linalg::Matrix& axes = pca_.components();
-  const double* __restrict fbase = f.row(0).data();
   linalg::Matrix z(k, lanes, 0.0);
-  for (std::size_t c = 0; c < k; ++c) {
-    double* __restrict zrow = z.row(c).data();
-    linalg::for_each_lane_tile(lanes, [&](auto acc, std::size_t l0) {
-      for (std::size_t p = 0; p < np; ++p) {
-        acc.mul_add(axes(p, c), fbase + p * lanes + l0);
-      }
-      acc.store(zrow + l0);
-    });
-  }
+  linalg::lane_kernels().project(axes.data().data(), axes.cols(), np, k,
+                                 f.data().data(), lanes, z.data().data());
   return z;
 }
 

@@ -1,6 +1,6 @@
 #include "linalg/decompositions.hpp"
 
-#include "linalg/lanes.hpp"
+#include "linalg/lane_kernels.hpp"
 
 #include <cmath>
 #include <stdexcept>
@@ -82,24 +82,10 @@ void Cholesky::mahalanobis_squared_batch(const Matrix& x_cols, std::span<double>
   // Mirror of the scalar routine lane-parallel: for each lane, v starts at
   // x[i], subtracts l(i,k) * y[k] in ascending k, divides by the diagonal,
   // and squares into the running sum -- the identical operation sequence, so
-  // each lane's result matches the scalar call.  Each tile of lanes (full or
-  // tail, see for_each_lane_tile) keeps row i's partial sums in registers
-  // across the k loop; the squared-sum accumulates through `out` once per
-  // row i, which is cheap at that frequency.
-  for (std::size_t l2 = 0; l2 < lanes; ++l2) out[l2] = 0.0;
-  for_each_lane_tile(lanes, [&](auto v, std::size_t l0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      v.load(x_cols.row(i).data() + l0);
-      for (std::size_t k = 0; k < i; ++k) {
-        v.mul_sub(l(i, k), y.row(k).data() + l0);
-      }
-      v.div(l(i, i));
-      double* __restrict yrow = y.row(i).data() + l0;
-      v.store(yrow);
-      double* __restrict orow = out.data() + l0;
-      for (std::size_t u = 0; u < v.kWidth; ++u) orow[u] += yrow[u] * yrow[u];
-    }
-  });
+  // each lane's result matches the scalar call.  lane_kernels() keeps each
+  // tile of lanes' partial sums in registers across the k loop.
+  lane_kernels().forward_solve(l.data().data(), n, x_cols.data().data(), lanes,
+                               y.data().data(), out.data());
 }
 
 Lu Lu::compute(const Matrix& a) {

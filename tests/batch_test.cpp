@@ -2,14 +2,17 @@
 // path.  Every batch primitive vectorizes ONLY across the window/lane
 // dimension and keeps the scalar per-window accumulation order, so its
 // output must equal the scalar path's to the last bit -- at every layer:
-// FFT, CWT (full transform and sparse extraction), fused feature transform,
-// blocked Mahalanobis/QDA scoring, and the full hierarchical classify_batch
-// across batch sizes, mixed content, mixed trace lengths, and streaming
-// worker counts.
+// the lane-tile kernels in every ISA build the host runs, FFT, CWT (full
+// transform and sparse extraction), fused feature transform, blocked
+// Mahalanobis/QDA scoring, and the full hierarchical classify_batch across
+// batch sizes, mixed content, mixed trace lengths, and streaming worker
+// counts.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/csa.hpp"
@@ -17,6 +20,7 @@
 #include "dsp/fft.hpp"
 #include "dsp/wavelet.hpp"
 #include "features/pipeline.hpp"
+#include "linalg/lane_kernels.hpp"
 #include "ml/discriminant.hpp"
 #include "runtime/streaming.hpp"
 #include "sim/acquisition.hpp"
@@ -34,6 +38,126 @@ std::vector<double> random_signal(std::size_t n, std::mt19937_64& rng) {
   std::vector<double> out(n);
   for (double& v : out) v = dist(rng);
   return out;
+}
+
+// Same bits, not just equal values (+0.0 vs -0.0 and NaN payloads count).
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// -- lane-tile kernels, every ISA build ---------------------------------------
+
+TEST(LaneKernels, DispatcherPicksWidestSupportedBuild) {
+  const std::vector<const linalg::LaneKernels*> builds = linalg::lane_kernel_builds();
+  ASSERT_FALSE(builds.empty());
+  EXPECT_EQ(&linalg::lane_kernels(), builds.back());
+  EXPECT_STREQ(linalg::lane_isa(), builds.back()->isa);
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  EXPECT_STREQ(builds.front()->isa, "sse2");
+  const char* widest = __builtin_cpu_supports("avx512f") ? "avx512"
+                       : __builtin_cpu_supports("avx2")  ? "avx2"
+                                                         : "sse2";
+  EXPECT_STREQ(linalg::lane_isa(), widest);
+#endif
+}
+
+// Each ISA build is called directly on the raw kernels -- the sparse CWT
+// gather and direct CWT rows (dots), the PCA projection and the Cholesky
+// forward solve behind Mahalanobis/QDA -- and must reproduce the scalar
+// reference, hence the baseline build, bit for bit at every lane count.
+TEST(LaneKernels, EveryIsaBuildMatchesScalarReferenceBitForBit) {
+  std::mt19937_64 rng(41);
+  const auto random_vec = [&](std::size_t n) { return random_signal(n, rng); };
+
+  // dots: 7 jobs (not a multiple of any interleave) with unequal tap counts,
+  // as coefficients_soa sees them, and 9 equal-length jobs as direct rows.
+  const std::vector<double> kern = random_vec(19);
+  const std::vector<std::vector<std::size_t>> tap_sets = {
+      {19, 3, 11, 1, 19, 7, 5}, {13, 13, 13, 13, 13, 13, 13, 13, 12}};
+  // projection: 23 points onto 9 of 11 stored components.
+  const std::size_t points = 23, stride = 11, components = 9;
+  const std::vector<double> axes = random_vec(points * stride);
+  // forward solve: an odd-sized SPD factor.
+  const std::size_t dim = 13;
+  linalg::Matrix a(dim, dim);
+  for (std::size_t r = 0; r < dim; ++r) {
+    for (std::size_t c = 0; c < dim; ++c) a(r, c) = random_signal(1, rng)[0];
+  }
+  linalg::Matrix spd(dim, dim, 0.0);
+  for (std::size_t r = 0; r < dim; ++r) {
+    for (std::size_t c = 0; c < dim; ++c) {
+      for (std::size_t k = 0; k < dim; ++k) spd(r, c) += a(k, r) * a(k, c);
+    }
+    spd(r, r) += 1.0;
+  }
+  const linalg::Cholesky chol = linalg::Cholesky::compute(spd);
+  ASSERT_TRUE(chol.valid);
+  const double* lf = chol.l.data().data();
+
+  const std::vector<const linalg::LaneKernels*> builds = linalg::lane_kernel_builds();
+  for (std::size_t lanes = 1; lanes <= kSweepLanes; ++lanes) {
+    const std::vector<double> x = random_vec(21 * lanes);  // rows 0..20
+    const std::vector<double> f = random_vec(points * lanes);
+    const std::vector<double> xs = random_vec(dim * lanes);
+
+    // Scalar references, in the scalar paths' operation order.
+    std::vector<std::vector<double>> dots_ref;
+    for (const auto& taps : tap_sets) {
+      std::vector<double> ref(taps.size() * lanes);
+      for (std::size_t j = 0; j < taps.size(); ++j) {
+        for (std::size_t l = 0; l < lanes; ++l) {
+          double acc = 0.0;
+          for (std::size_t d = 0; d < taps[j]; ++d) {
+            acc += kern[19 - taps[j] + d] * x[(j % 3 + d) * lanes + l];
+          }
+          ref[j * lanes + l] = acc;
+        }
+      }
+      dots_ref.push_back(ref);
+    }
+    std::vector<double> z_ref(components * lanes);
+    for (std::size_t c = 0; c < components; ++c) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        double acc = 0.0;
+        for (std::size_t p = 0; p < points; ++p) acc += axes[p * stride + c] * f[p * lanes + l];
+        z_ref[c * lanes + l] = acc;
+      }
+    }
+    std::vector<double> y_ref(dim * lanes), out_ref(lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      linalg::Vector col(dim);
+      for (std::size_t i = 0; i < dim; ++i) {
+        double v = xs[i * lanes + l];
+        for (std::size_t k = 0; k < i; ++k) v -= chol.l(i, k) * y_ref[k * lanes + l];
+        y_ref[i * lanes + l] = v / chol.l(i, i);
+        col[i] = xs[i * lanes + l];
+      }
+      out_ref[l] = chol.mahalanobis_squared(col);
+    }
+
+    for (const linalg::LaneKernels* build : builds) {
+      const std::string where = std::string(build->isa) + " lanes " + std::to_string(lanes);
+      for (std::size_t s = 0; s < tap_sets.size(); ++s) {
+        const auto& taps = tap_sets[s];
+        std::vector<double> got(taps.size() * lanes, -1.0);
+        std::vector<linalg::LaneDot> jobs;
+        for (std::size_t j = 0; j < taps.size(); ++j) {
+          jobs.push_back({kern.data() + (19 - taps[j]), x.data() + (j % 3) * lanes, taps[j],
+                          got.data() + j * lanes});
+        }
+        build->dots(jobs.data(), jobs.size(), lanes);
+        ASSERT_TRUE(same_bits(got, dots_ref[s])) << "dots set " << s << ", " << where;
+      }
+      std::vector<double> z(components * lanes, -1.0);
+      build->project(axes.data(), stride, points, components, f.data(), lanes, z.data());
+      ASSERT_TRUE(same_bits(z, z_ref)) << "project, " << where;
+      std::vector<double> y(dim * lanes, -1.0), out(lanes, -1.0);
+      build->forward_solve(lf, dim, xs.data(), lanes, y.data(), out.data());
+      ASSERT_TRUE(same_bits(y, y_ref)) << "forward_solve y, " << where;
+      ASSERT_TRUE(same_bits(out, out_ref)) << "forward_solve out, " << where;
+    }
+  }
 }
 
 // -- FFT ---------------------------------------------------------------------
@@ -450,11 +574,14 @@ TEST_F(BatchModelFixture, BitIdenticalAcrossBatchSizes) {
 
 TEST_F(BatchModelFixture, BitIdenticalWithMixedTraceLengths) {
   sim::TraceSet pool = mixed_windows(12);
-  // Three length buckets: the native window length (>= 2 windows), a
-  // truncated length (>= 2 windows), and a singleton that must take the
-  // scalar path.
+  // Four length buckets: the native window length (>= 2 windows), a
+  // truncated length (>= 2 windows), a singleton that must take the scalar
+  // path, and a pair so short that some feature points lie past the end of
+  // the window by more than the wavelet's reach (zero taps).
   for (std::size_t i = 0; i < 5; ++i) pool[i].samples.resize(250);
   pool[5].samples.resize(120);
+  pool[6].samples.resize(12);
+  pool[7].samples.resize(12);
 
   const std::vector<core::Disassembly> batch = model().classify_batch(pool);
   ASSERT_EQ(batch.size(), pool.size());
