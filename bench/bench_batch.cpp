@@ -1,15 +1,16 @@
-// Scalar-vs-batch classification throughput -- the acceptance gate of the
-// batch-vectorized hot path.  The same eval windows run through classify()
-// one at a time and through classify_batch() at batch sizes 1/16/64; before
-// any timing is trusted, every batched result is checked bit-identical to
-// the scalar path (labels, operands, verdicts, and both gate headrooms).
+// Per-window vs batch classification throughput -- the acceptance gate of
+// the batch-vectorized hot path.  The same eval windows run through
+// classify() one at a time (the "scalar" row: each call is a one-window
+// batch) and through classify_batch() at batch sizes 1/16/64; before any
+// timing is trusted, every batched result is checked bit-identical to the
+// per-window results (labels, operands, verdicts, and both gate headrooms).
 //
 // The batch path wins three ways, all of which this bench exercises: the
 // FFT plan / kernel taps / Cholesky rows / PCA axes load once per batch
 // instead of once per window, the struct-of-arrays inner loops vectorize
 // across lanes, and per-window allocations disappear into grow-once
-// workspaces.  Batch 1 measures the bucketing overhead (it takes the scalar
-// fallback inside classify_batch, so it should track the scalar path).
+// workspaces.  Batch 1 runs the same one-window body as classify(), so it
+// tracks the "scalar" row.
 //
 // Results go to BENCH_batch.json (override with SIDIS_BENCH_OUT); CI diffs
 // a SIDIS_FAST run against the checked-in baseline via check_batch.py.

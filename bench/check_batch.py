@@ -79,8 +79,9 @@ def main(argv):
         if got < need:
             failures.append(f"'{key}' collapsed: {base} -> {got} (needs >= {need:.2f})")
 
-    # Batch 1 takes the scalar fallback inside classify_batch; it should
-    # track the scalar loop, not fall off a cliff (dispatch overhead bound).
+    # Batch 1 runs the same one-window body as the per-window classify()
+    # loop ("scalar"); it should track it, not fall off a cliff (dispatch
+    # overhead bound).
     b1 = batch_row(candidate, 1).get("speedup_vs_scalar")
     rows.append(("speedup_batch1", batch_row(baseline, 1).get("speedup_vs_scalar"), b1))
     if b1 is None or b1 < 0.5:

@@ -218,9 +218,7 @@ void FusedDisassembler::train_feature_heads(
   }
 }
 
-Disassembly FusedDisassembler::degrade_to(const Disassembly& survivor,
-                                          const Disassembly& rejected) {
-  (void)rejected;
+Disassembly FusedDisassembler::degrade_to(const Disassembly& survivor) {
   Disassembly out = survivor;
   out.verdict = std::max(out.verdict, Verdict::kDegraded);
   return out;
@@ -347,69 +345,14 @@ Disassembly FusedDisassembler::fuse_window(const sim::Trace& pview,
     out.score_headroom = std::min(p.score_headroom, e.score_headroom);
     return out;
   }
-  if (!e.accepted()) return degrade_to(p, e);
-  if (!p.accepted()) return degrade_to(e, p);
+  if (!e.accepted()) return degrade_to(p);
+  if (!p.accepted()) return degrade_to(e);
   return fuse(pview, eview, p, e);
-}
-
-Disassembly FusedDisassembler::classify_scored(const sim::Trace& paired) const {
-  if (power_ == nullptr) throw std::runtime_error("FusedDisassembler: empty");
-  if (em_ == nullptr || degenerate_to(sim::Channel::kPower)) {
-    return power_->classify_scored(sim::channel_view(paired, sim::Channel::kPower));
-  }
-  if (!paired.has_em()) {
-    // The modality this deployment calibrated for is missing: serve the
-    // power-only result, flagged so the operator sees the blind spot.
-    Disassembly out =
-        power_->classify_scored(sim::channel_view(paired, sim::Channel::kPower));
-    out.verdict = std::max(out.verdict, Verdict::kDegraded);
-    return out;
-  }
-  if (degenerate_to(sim::Channel::kEm)) {
-    return em_->classify_scored(sim::channel_view(paired, sim::Channel::kEm));
-  }
-  const sim::Trace pview = sim::channel_view(paired, sim::Channel::kPower);
-  const sim::Trace eview = sim::channel_view(paired, sim::Channel::kEm);
-  return fuse_window(pview, eview, power_->classify_scored(pview),
-                     em_->classify_scored(eview));
-}
-
-Disassembly FusedDisassembler::classify(const sim::Trace& paired) const {
-  if (power_ == nullptr) throw std::runtime_error("FusedDisassembler: empty");
-  if (em_ == nullptr || degenerate_to(sim::Channel::kPower)) {
-    return power_->classify(sim::channel_view(paired, sim::Channel::kPower));
-  }
-  if (!paired.has_em()) {
-    Disassembly out =
-        power_->classify(sim::channel_view(paired, sim::Channel::kPower));
-    out.verdict = std::max(out.verdict, Verdict::kDegraded);
-    return out;
-  }
-  if (degenerate_to(sim::Channel::kEm)) {
-    return em_->classify(sim::channel_view(paired, sim::Channel::kEm));
-  }
-  // Non-degenerate fusion is defined on the channel posteriors, so the plain
-  // and scored paths are the same computation (the posterior rides along).
-  return classify_scored(paired);
 }
 
 namespace {
 
-/// Index partition of a batch by EM-window presence.
-struct EmPartition {
-  std::vector<std::size_t> with_em;
-  std::vector<std::size_t> without_em;
-};
-
-EmPartition partition_by_em(const sim::TraceSet& traces) {
-  EmPartition part;
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    (traces[i].has_em() ? part.with_em : part.without_em).push_back(i);
-  }
-  return part;
-}
-
-sim::TraceSet gather_views(const sim::TraceSet& traces,
+sim::TraceSet gather_views(std::span<const sim::Trace> traces,
                            const std::vector<std::size_t>& idx,
                            sim::Channel channel) {
   sim::TraceSet out;
@@ -420,79 +363,46 @@ sim::TraceSet gather_views(const sim::TraceSet& traces,
 
 }  // namespace
 
-std::vector<Disassembly> FusedDisassembler::classify_batch(
-    const sim::TraceSet& traces) const {
+std::vector<Disassembly> FusedDisassembler::classify_windows(
+    std::span<const sim::Trace> traces, bool scored) const {
   if (power_ == nullptr) throw std::runtime_error("FusedDisassembler: empty");
-  if (em_ == nullptr || degenerate_to(sim::Channel::kPower)) {
-    return power_->classify_batch(sim::channel_views(traces, sim::Channel::kPower));
+  const bool power_only = em_ == nullptr || degenerate_to(sim::Channel::kPower);
+  const bool em_only = !power_only && degenerate_to(sim::Channel::kEm);
+  std::vector<std::size_t> power_idx, em_idx, fused_idx;
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    if (power_only || !traces[i].has_em()) {
+      power_idx.push_back(i);
+    } else {
+      (em_only ? em_idx : fused_idx).push_back(i);
+    }
   }
   std::vector<Disassembly> out(traces.size());
-  const EmPartition part = partition_by_em(traces);
-  if (!part.without_em.empty()) {
-    const std::vector<Disassembly> sub = power_->classify_batch(
-        gather_views(traces, part.without_em, sim::Channel::kPower));
-    for (std::size_t k = 0; k < part.without_em.size(); ++k) {
-      out[part.without_em[k]] = sub[k];
-      out[part.without_em[k]].verdict =
-          std::max(out[part.without_em[k]].verdict, Verdict::kDegraded);
+  // Single-channel windows get that channel model's result verbatim -- except
+  // that a window missing the modality this deployment calibrated for is
+  // served power-only and flagged, so the operator sees the blind spot.
+  const auto single = [&](const HierarchicalDisassembler& model,
+                          const std::vector<std::size_t>& idx, sim::Channel channel) {
+    if (idx.empty()) return;
+    const std::vector<Disassembly> sub =
+        model.classify_windows(gather_views(traces, idx, channel), scored);
+    for (std::size_t k = 0; k < idx.size(); ++k) {
+      out[idx[k]] = sub[k];
+      if (!power_only && channel == sim::Channel::kPower) {
+        out[idx[k]].verdict = std::max(out[idx[k]].verdict, Verdict::kDegraded);
+      }
     }
-  }
-  if (part.with_em.empty()) return out;
-  if (degenerate_to(sim::Channel::kEm)) {
-    const std::vector<Disassembly> sub = em_->classify_batch(
-        gather_views(traces, part.with_em, sim::Channel::kEm));
-    for (std::size_t k = 0; k < part.with_em.size(); ++k) {
-      out[part.with_em[k]] = sub[k];
-    }
-    return out;
-  }
-  const sim::TraceSet pviews =
-      gather_views(traces, part.with_em, sim::Channel::kPower);
-  const sim::TraceSet eviews =
-      gather_views(traces, part.with_em, sim::Channel::kEm);
-  const std::vector<Disassembly> p = power_->classify_batch_scored(pviews);
-  const std::vector<Disassembly> e = em_->classify_batch_scored(eviews);
-  for (std::size_t k = 0; k < part.with_em.size(); ++k) {
-    out[part.with_em[k]] = fuse_window(pviews[k], eviews[k], p[k], e[k]);
-  }
-  return out;
-}
-
-std::vector<Disassembly> FusedDisassembler::classify_batch_scored(
-    const sim::TraceSet& traces) const {
-  if (power_ == nullptr) throw std::runtime_error("FusedDisassembler: empty");
-  if (em_ == nullptr || degenerate_to(sim::Channel::kPower)) {
-    return power_->classify_batch_scored(
-        sim::channel_views(traces, sim::Channel::kPower));
-  }
-  std::vector<Disassembly> out(traces.size());
-  const EmPartition part = partition_by_em(traces);
-  if (!part.without_em.empty()) {
-    const std::vector<Disassembly> sub = power_->classify_batch_scored(
-        gather_views(traces, part.without_em, sim::Channel::kPower));
-    for (std::size_t k = 0; k < part.without_em.size(); ++k) {
-      out[part.without_em[k]] = sub[k];
-      out[part.without_em[k]].verdict =
-          std::max(out[part.without_em[k]].verdict, Verdict::kDegraded);
-    }
-  }
-  if (part.with_em.empty()) return out;
-  if (degenerate_to(sim::Channel::kEm)) {
-    const std::vector<Disassembly> sub = em_->classify_batch_scored(
-        gather_views(traces, part.with_em, sim::Channel::kEm));
-    for (std::size_t k = 0; k < part.with_em.size(); ++k) {
-      out[part.with_em[k]] = sub[k];
-    }
-    return out;
-  }
-  const sim::TraceSet pviews =
-      gather_views(traces, part.with_em, sim::Channel::kPower);
-  const sim::TraceSet eviews =
-      gather_views(traces, part.with_em, sim::Channel::kEm);
-  const std::vector<Disassembly> p = power_->classify_batch_scored(pviews);
-  const std::vector<Disassembly> e = em_->classify_batch_scored(eviews);
-  for (std::size_t k = 0; k < part.with_em.size(); ++k) {
-    out[part.with_em[k]] = fuse_window(pviews[k], eviews[k], p[k], e[k]);
+  };
+  single(*power_, power_idx, sim::Channel::kPower);
+  if (em_only) single(*em_, em_idx, sim::Channel::kEm);
+  if (fused_idx.empty()) return out;
+  // Fusion is defined on the channel posteriors, so the plain and scored
+  // paths are the same computation there (the posterior rides along).
+  const sim::TraceSet pviews = gather_views(traces, fused_idx, sim::Channel::kPower);
+  const sim::TraceSet eviews = gather_views(traces, fused_idx, sim::Channel::kEm);
+  const std::vector<Disassembly> p = power_->classify_windows(pviews, true);
+  const std::vector<Disassembly> e = em_->classify_windows(eviews, true);
+  for (std::size_t k = 0; k < fused_idx.size(); ++k) {
+    out[fused_idx[k]] = fuse_window(pviews[k], eviews[k], p[k], e[k]);
   }
   return out;
 }

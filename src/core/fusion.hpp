@@ -32,6 +32,7 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -96,23 +97,31 @@ class FusedDisassembler {
   /// weights, a missing EM model, or a trace without an EM window reproduce
   /// the power model's result bit for bit (and symmetrically for EM-only
   /// weights).  Otherwise both channels run and the results fuse per the
-  /// level selections; one rejected channel degrades to the other, flagged
-  /// kDegraded.  Thread-safe like HierarchicalDisassembler::classify.
-  Disassembly classify(const sim::Trace& paired) const;
+  /// level selections; one rejected channel -- a malformed half included --
+  /// degrades to the other, flagged kDegraded.  A batch of one through the
+  /// same body as classify_batch().  Thread-safe like
+  /// HierarchicalDisassembler::classify.
+  Disassembly classify(const sim::Trace& paired) const {
+    return classify_windows({&paired, 1}, false).front();
+  }
 
   /// classify() with the fused per-class log-posterior kept.  On the
   /// non-degenerate fusion path classify() and classify_scored() are the
   /// same computation (fusion is defined on the channel posteriors), so both
   /// carry the posterior there.
-  Disassembly classify_scored(const sim::Trace& paired) const;
+  Disassembly classify_scored(const sim::Trace& paired) const {
+    return classify_windows({&paired, 1}, true).front();
+  }
 
-  /// Batched fusion, bit-identical to the scalar calls per window: the
-  /// channel models run their lane-vectorized classify_batch_scored over the
-  /// channel views and the per-window fusion math is shared with the scalar
-  /// path.  Degenerate single-channel weights delegate to that channel's
-  /// classify_batch (preserving the plain-path bit-identity guarantee).
-  std::vector<Disassembly> classify_batch(const sim::TraceSet& traces) const;
-  std::vector<Disassembly> classify_batch_scored(const sim::TraceSet& traces) const;
+  /// Batched fusion, out[i] bit-identical to classify(traces[i]): the
+  /// channel models run their lane-vectorized batch path over the channel
+  /// views and the per-window fusion math is shared.
+  std::vector<Disassembly> classify_batch(const sim::TraceSet& traces) const {
+    return classify_windows(traces, false);
+  }
+  std::vector<Disassembly> classify_batch_scored(const sim::TraceSet& traces) const {
+    return classify_windows(traces, true);
+  }
 
   /// Rebinds one channel to a maintained model (renormalized / refit by the
   /// RecalibrationScheduler) while the other keeps serving.  The replacement
@@ -164,13 +173,16 @@ class FusedDisassembler {
   Disassembly fuse(const sim::Trace& pview, const sim::Trace& eview,
                    const Disassembly& p, const Disassembly& e) const;
   /// Full per-window combination: both-rejected fold, one-channel
-  /// degradation, else fuse().  Shared by the scalar, batch and calibration
+  /// degradation, else fuse().  Shared by the classify and calibration
   /// paths so they stay bit-identical by construction.
   Disassembly fuse_window(const sim::Trace& pview, const sim::Trace& eview,
                           const Disassembly& p, const Disassembly& e) const;
   /// Degrade to one surviving channel's result (other channel rejected).
-  static Disassembly degrade_to(const Disassembly& survivor,
-                                const Disassembly& rejected);
+  static Disassembly degrade_to(const Disassembly& survivor);
+  /// The one classify body behind the four public entry points; `scored`
+  /// reaches the channel models wherever a single channel serves.
+  std::vector<Disassembly> classify_windows(std::span<const sim::Trace> traces,
+                                            bool scored) const;
 
   std::shared_ptr<const HierarchicalDisassembler> power_;
   std::shared_ptr<const HierarchicalDisassembler> em_;

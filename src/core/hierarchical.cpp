@@ -1,6 +1,8 @@
 #include "core/hierarchical.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 
@@ -28,6 +30,38 @@ double low_quantile(std::vector<double> v, double q) {
       q * static_cast<double>(v.size() - 1));
   return v[idx];
 }
+
+/// Folds one level's calibrated gate into a window's verdict and worst
+/// headrooms.  `fatal` gates (group/instruction) reject the window; register
+/// gates only degrade it -- the opcode is still trusted, the operand is not.
+void fold_gate(Disassembly& o, const HierarchicalDisassembler::LevelGate& gate,
+               const ml::ScoredPrediction& p, bool fatal) {
+  if (!gate.active) return;
+  const double margin_headroom = p.margin - gate.margin_floor;
+  const double score_headroom = p.top_score - gate.score_floor;
+  o.margin_headroom = std::min(o.margin_headroom, margin_headroom);
+  o.score_headroom = std::min(o.score_headroom, score_headroom);
+  if (margin_headroom < 0.0 || score_headroom < 0.0) {
+    o.verdict = fatal ? Verdict::kRejected : std::max(o.verdict, Verdict::kDegraded);
+  }
+}
+
+/// An empty window, or one with a NaN or infinite sample, carries no
+/// evidence any level could weigh: it is rejected outright, calibrated
+/// gates or not.
+bool malformed(const sim::Trace& t) {
+  return t.samples.empty() ||
+         !std::all_of(t.samples.begin(), t.samples.end(),
+                      [](double v) { return std::isfinite(v); });
+}
+
+/// One level's output over a lane subset: the scored prediction per lane,
+/// and (classes x lanes) log-softmax factors when the level contributed a
+/// posterior; empty `logp` means a one-hot factor at the prediction.
+struct LevelRun {
+  std::vector<ml::ScoredPrediction> pred;
+  linalg::Matrix logp;
+};
 
 }  // namespace
 
@@ -128,31 +162,6 @@ ml::ScoredPrediction HierarchicalDisassembler::predict_level_scored(
   if (level.classifier == nullptr) throw std::runtime_error("level not trained");
   const std::size_t k = components == SIZE_MAX ? level.components : components;
   return level.classifier->predict_scored(level.pipeline.transform(trace, k));
-}
-
-/// One window being classified through several levels: the per-trace
-/// normalization is computed at most once and shared by every level that
-/// wants it (all levels of one model share the per_trace_normalization
-/// setting, but the lazy split keeps mixed configurations correct too).
-struct HierarchicalDisassembler::PreparedWindow {
-  const sim::Trace* trace = nullptr;
-  std::optional<std::vector<double>> normalized;
-
-  const std::vector<double>& prepared_for(const features::FeaturePipeline& pipeline) {
-    if (!pipeline.config().per_trace_normalization) return trace->samples;
-    if (!normalized) {
-      normalized = features::FeaturePipeline::preprocess_window(*trace, true);
-    }
-    return *normalized;
-  }
-};
-
-ml::ScoredPrediction HierarchicalDisassembler::predict_level_prepared(
-    const Level& level, PreparedWindow& window, dsp::CwtWorkspace& ws) {
-  if (level.trivial) return {level.only_label, kInf, kInf};
-  if (level.classifier == nullptr) throw std::runtime_error("level not trained");
-  return level.classifier->predict_scored(level.pipeline.transform_prepared(
-      window.prepared_for(level.pipeline), level.components, ws));
 }
 
 void HierarchicalDisassembler::calibrate_level(Level& level,
@@ -420,216 +429,6 @@ std::uint8_t HierarchicalDisassembler::classify_rr(const sim::Trace& trace,
   return static_cast<std::uint8_t>(predict_level(*rr_level_, trace, components));
 }
 
-Disassembly HierarchicalDisassembler::classify_prepared(PreparedWindow& window,
-                                                        dsp::CwtWorkspace& ws) const {
-  Disassembly out;
-
-  // Walks every level through the scored path and folds each calibrated
-  // gate's headroom into the verdict.  `fatal` gates (group/instruction)
-  // reject the window; register gates only degrade it -- the opcode is still
-  // trusted, the operand is not.
-  const auto gate = [&out](const Level& level, const ml::ScoredPrediction& p,
-                           bool fatal) {
-    if (!level.gate.active) return;
-    const double margin_headroom = p.margin - level.gate.margin_floor;
-    const double score_headroom = p.top_score - level.gate.score_floor;
-    out.margin_headroom = std::min(out.margin_headroom, margin_headroom);
-    out.score_headroom = std::min(out.score_headroom, score_headroom);
-    if (margin_headroom < 0.0 || score_headroom < 0.0) {
-      out.verdict = fatal ? Verdict::kRejected
-                          : std::max(out.verdict, Verdict::kDegraded);
-    }
-  };
-
-  const ml::ScoredPrediction g = predict_level_prepared(group_level_, window, ws);
-  out.group = g.label;
-  gate(group_level_, g, /*fatal=*/true);
-
-  const auto it = instruction_levels_.find(out.group);
-  if (it == instruction_levels_.end()) {
-    throw std::invalid_argument("classify_within_group: group not trained");
-  }
-  const ml::ScoredPrediction c = predict_level_prepared(it->second, window, ws);
-  out.class_idx = static_cast<std::size_t>(c.label);
-  gate(it->second, c, /*fatal=*/true);
-
-  if (avr::class_uses_rd(out.class_idx) && rd_level_ != nullptr) {
-    const ml::ScoredPrediction p = predict_level_prepared(*rd_level_, window, ws);
-    out.rd = static_cast<std::uint8_t>(p.label);
-    gate(*rd_level_, p, /*fatal=*/false);
-  }
-  if (avr::class_uses_rr(out.class_idx) && rr_level_ != nullptr) {
-    const ml::ScoredPrediction p = predict_level_prepared(*rr_level_, window, ws);
-    out.rr = static_cast<std::uint8_t>(p.label);
-    gate(*rr_level_, p, /*fatal=*/false);
-  }
-  return out;
-}
-
-Disassembly HierarchicalDisassembler::classify(const sim::Trace& trace) const {
-  dsp::CwtWorkspace ws;
-  PreparedWindow window{&trace, std::nullopt};
-  return classify_prepared(window, ws);
-}
-
-std::vector<Disassembly> HierarchicalDisassembler::classify_batch(
-    const sim::TraceSet& traces) const {
-  std::vector<Disassembly> out(traces.size());
-  if (traces.empty()) return out;
-
-  // The SoA batch primitives want equal-length lanes, so windows bucket by
-  // trace length first (one CWT/FFT geometry per bucket).  Singleton and
-  // degenerate buckets take the scalar path -- a one-lane SoA pass would be
-  // pure marshalling overhead.  Every multi-lane bucket then flows through
-  // the lane-vectorized pipeline: batch CWT + fused feature transform +
-  // blocked QDA scoring, all of which keep the scalar per-window accumulation
-  // order, so each Disassembly (label, headrooms, verdict) is bit-identical
-  // to classify() on that window.
-  std::map<std::size_t, std::vector<std::size_t>> by_length;
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    by_length[traces[i].samples.size()].push_back(i);
-  }
-
-  dsp::CwtWorkspace scalar_ws;   // grow-once scratch for scalar fallbacks
-  dsp::CwtBatchWorkspace batch_ws;  // grow-once scratch for every bucket
-
-  // The exact gate fold of classify_prepared, applied per window.
-  const auto gate = [](Disassembly& o, const Level& level,
-                       const ml::ScoredPrediction& p, bool fatal) {
-    if (!level.gate.active) return;
-    const double margin_headroom = p.margin - level.gate.margin_floor;
-    const double score_headroom = p.top_score - level.gate.score_floor;
-    o.margin_headroom = std::min(o.margin_headroom, margin_headroom);
-    o.score_headroom = std::min(o.score_headroom, score_headroom);
-    if (margin_headroom < 0.0 || score_headroom < 0.0) {
-      o.verdict = fatal ? Verdict::kRejected
-                        : std::max(o.verdict, Verdict::kDegraded);
-    }
-  };
-
-  for (const auto& [length, idx] : by_length) {
-    if (idx.size() < 2 || length == 0) {
-      for (const std::size_t i : idx) {
-        PreparedWindow window{&traces[i], std::nullopt};
-        out[i] = classify_prepared(window, scalar_ws);
-      }
-      continue;
-    }
-
-    const std::size_t n = idx.size();
-
-    // Per-window preprocessing, computed once per bucket and shared by every
-    // level that wants it -- the batch counterpart of PreparedWindow's lazy
-    // normalization split (all levels of one model share the
-    // per_trace_normalization flag, but the lazy form keeps mixed
-    // configurations correct too).  The whole bucket marshals into ONE
-    // struct-of-arrays block per view kind; the up-to-four level pipelines
-    // read it in place, and sub-bucket levels gather just their lanes from
-    // it (row-contiguous copies) instead of re-marshalling from the
-    // scattered per-window vectors.
-    std::vector<double> soa_raw, soa_norm;  // full-bucket SoA, lazy per kind
-    std::vector<double> soa_subset;         // per-call lane gather, grow-once
-    const auto bucket_soa = [&](bool normalize) -> const std::vector<double>& {
-      std::vector<double>& soa = normalize ? soa_norm : soa_raw;
-      if (soa.empty()) {
-        std::vector<const std::vector<double>*> ptrs(n);
-        std::vector<std::vector<double>> normalized;
-        if (normalize) {
-          normalized.resize(n);
-          for (std::size_t p = 0; p < n; ++p) {
-            normalized[p] =
-                features::FeaturePipeline::preprocess_window(traces[idx[p]], true);
-            ptrs[p] = &normalized[p];
-          }
-        } else {
-          for (std::size_t p = 0; p < n; ++p) ptrs[p] = &traces[idx[p]].samples;
-        }
-        dsp::Cwt::marshal({ptrs.data(), ptrs.size()}, soa);
-      }
-      return soa;
-    };
-
-    // predict_level_prepared over a subset of the bucket, lane-vectorized.
-    const auto predict_batch = [&](const Level& level,
-                                   std::span<const std::size_t> subset) {
-      if (level.trivial) {
-        return std::vector<ml::ScoredPrediction>(
-            subset.size(), ml::ScoredPrediction{level.only_label, kInf, kInf});
-      }
-      if (level.classifier == nullptr) throw std::runtime_error("level not trained");
-      const std::vector<double>& full =
-          bucket_soa(level.pipeline.config().per_trace_normalization);
-      const std::size_t m = subset.size();
-      std::span<const double> soa(full);
-      if (m != n) {
-        soa_subset.resize(length * m);
-        for (std::size_t t = 0; t < length; ++t) {
-          const double* __restrict src = full.data() + t * n;
-          double* __restrict dst = soa_subset.data() + t * m;
-          for (std::size_t i = 0; i < m; ++i) dst[i] = src[subset[i]];
-        }
-        soa = soa_subset;
-      }
-      const linalg::Matrix feats = level.pipeline.transform_soa_batch(
-          soa, length, m, level.components, batch_ws);
-      return level.classifier->predict_scored_batch(feats);
-    };
-
-    std::vector<std::size_t> all(n);
-    for (std::size_t p = 0; p < n; ++p) all[p] = p;
-
-    // Level 1: one batch over the whole bucket.
-    const std::vector<ml::ScoredPrediction> g = predict_batch(group_level_, all);
-    for (std::size_t p = 0; p < n; ++p) {
-      Disassembly& o = out[idx[p]];
-      o.group = g[p].label;
-      gate(o, group_level_, g[p], /*fatal=*/true);
-    }
-
-    // Level 2: partition the bucket by predicted group, one batch per group.
-    std::map<int, std::vector<std::size_t>> by_group;
-    for (std::size_t p = 0; p < n; ++p) by_group[out[idx[p]].group].push_back(p);
-    for (const auto& [group, subset] : by_group) {
-      const auto it = instruction_levels_.find(group);
-      if (it == instruction_levels_.end()) {
-        throw std::invalid_argument("classify_within_group: group not trained");
-      }
-      const std::vector<ml::ScoredPrediction> c = predict_batch(it->second, subset);
-      for (std::size_t i = 0; i < subset.size(); ++i) {
-        Disassembly& o = out[idx[subset[i]]];
-        o.class_idx = static_cast<std::size_t>(c[i].label);
-        gate(o, it->second, c[i], /*fatal=*/true);
-      }
-    }
-
-    // Level 3: operand recovery over the windows whose class uses each one.
-    const auto predict_registers = [&](const Level* level, bool rd) {
-      if (level == nullptr) return;
-      std::vector<std::size_t> subset;
-      for (std::size_t p = 0; p < n; ++p) {
-        const std::size_t class_idx = out[idx[p]].class_idx;
-        if (rd ? avr::class_uses_rd(class_idx) : avr::class_uses_rr(class_idx)) {
-          subset.push_back(p);
-        }
-      }
-      if (subset.empty()) return;
-      const std::vector<ml::ScoredPrediction> r = predict_batch(*level, subset);
-      for (std::size_t i = 0; i < subset.size(); ++i) {
-        Disassembly& o = out[idx[subset[i]]];
-        if (rd) {
-          o.rd = static_cast<std::uint8_t>(r[i].label);
-        } else {
-          o.rr = static_cast<std::uint8_t>(r[i].label);
-        }
-        gate(o, *level, r[i], /*fatal=*/false);
-      }
-    };
-    predict_registers(rd_level_.get(), /*rd=*/true);
-    predict_registers(rr_level_.get(), /*rd=*/false);
-  }
-  return out;
-}
-
 void HierarchicalDisassembler::finalize_posterior_support() {
   posterior_classes_.clear();
   for (const auto& [group, level] : instruction_levels_) {
@@ -649,176 +448,11 @@ void HierarchicalDisassembler::finalize_posterior_support() {
       posterior_classes_.end());
 }
 
-Disassembly HierarchicalDisassembler::classify_prepared_scored(
-    PreparedWindow& window, dsp::CwtWorkspace& ws) const {
-  Disassembly out;
-
-  // The exact gate fold of classify_prepared: the scored path feeds the
-  // gates the same level scores, so verdicts and headrooms stay
-  // bit-identical to classify().
-  const auto gate = [&out](const Level& level, const ml::ScoredPrediction& p,
-                           bool fatal) {
-    if (!level.gate.active) return;
-    const double margin_headroom = p.margin - level.gate.margin_floor;
-    const double score_headroom = p.top_score - level.gate.score_floor;
-    out.margin_headroom = std::min(out.margin_headroom, margin_headroom);
-    out.score_headroom = std::min(out.score_headroom, score_headroom);
-    if (margin_headroom < 0.0 || score_headroom < 0.0) {
-      out.verdict = fatal ? Verdict::kRejected
-                          : std::max(out.verdict, Verdict::kDegraded);
-    }
-  };
-
-  const auto level_scores = [&](const Level& level) {
-    return level.classifier->class_scores(level.pipeline.transform_prepared(
-        window.prepared_for(level.pipeline), level.components, ws));
-  };
-
-  // Level 1: log P(group | x), one entry per group label the classifier can
-  // emit.  A hard-decision group classifier (no score surface) degrades to a
-  // one-hot factor at its prediction.
-  std::vector<int> group_labels;
-  linalg::Vector group_logp;
-  if (group_level_.trivial) {
-    out.group = group_level_.only_label;
-    group_labels = {group_level_.only_label};
-    group_logp = linalg::Vector{0.0};
-  } else {
-    const linalg::Vector s = level_scores(group_level_);
-    ml::ScoredPrediction g;
-    if (s.empty()) {
-      g = predict_level_prepared(group_level_, window, ws);
-      group_labels = {g.label};
-      group_logp = linalg::Vector{0.0};
-    } else {
-      group_labels = group_level_.classifier->score_labels();
-      g = ml::scored_from_scores(s, group_labels);
-      group_logp = log_softmax(s);
-    }
-    out.group = g.label;
-    gate(group_level_, g, /*fatal=*/true);
-  }
-  if (instruction_levels_.find(out.group) == instruction_levels_.end()) {
-    throw std::invalid_argument("classify_within_group: group not trained");
-  }
-  const auto group_log = [&](int group) {
-    for (std::size_t i = 0; i < group_labels.size(); ++i) {
-      if (group_labels[i] == group) return group_logp[i];
-    }
-    return -kInf;
-  };
-
-  out.log_posterior.assign(posterior_classes_.size(), -kInf);
-  const auto post_at = [&](std::size_t cls) -> double& {
-    const auto it = std::lower_bound(posterior_classes_.begin(),
-                                     posterior_classes_.end(), cls);
-    if (it == posterior_classes_.end() || *it != cls) {
-      throw std::logic_error("classify_scored: class outside posterior support");
-    }
-    return out.log_posterior[static_cast<std::size_t>(
-        it - posterior_classes_.begin())];
-  };
-
-  // Level 2: every trained group runs, so the posterior keeps honest mass
-  // outside the predicted group; only the predicted group's prediction
-  // drives the verdict, exactly as in classify_prepared.
-  for (const auto& [group, level] : instruction_levels_) {
-    const double g_lp = group_log(group);
-    if (level.trivial) {
-      const auto cls = static_cast<std::size_t>(level.only_label);
-      if (group == out.group) out.class_idx = cls;
-      post_at(cls) = g_lp;  // + log 1
-      continue;
-    }
-    const linalg::Vector s = level_scores(level);
-    if (s.empty()) {
-      const ml::ScoredPrediction c = predict_level_prepared(level, window, ws);
-      if (group == out.group) {
-        out.class_idx = static_cast<std::size_t>(c.label);
-        gate(level, c, /*fatal=*/true);
-      }
-      post_at(static_cast<std::size_t>(c.label)) = g_lp;
-      continue;
-    }
-    const std::vector<int>& labels = level.classifier->score_labels();
-    if (group == out.group) {
-      const ml::ScoredPrediction c = ml::scored_from_scores(s, labels);
-      out.class_idx = static_cast<std::size_t>(c.label);
-      gate(level, c, /*fatal=*/true);
-    }
-    const linalg::Vector lp = log_softmax(s);
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      post_at(static_cast<std::size_t>(labels[i])) = g_lp + lp[i];
-    }
-  }
-
-  if (avr::class_uses_rd(out.class_idx) && rd_level_ != nullptr) {
-    const ml::ScoredPrediction p = predict_level_prepared(*rd_level_, window, ws);
-    out.rd = static_cast<std::uint8_t>(p.label);
-    gate(*rd_level_, p, /*fatal=*/false);
-  }
-  if (avr::class_uses_rr(out.class_idx) && rr_level_ != nullptr) {
-    const ml::ScoredPrediction p = predict_level_prepared(*rr_level_, window, ws);
-    out.rr = static_cast<std::uint8_t>(p.label);
-    gate(*rr_level_, p, /*fatal=*/false);
-  }
-  return out;
-}
-
-Disassembly HierarchicalDisassembler::classify_scored(const sim::Trace& trace) const {
-  dsp::CwtWorkspace ws;
-  PreparedWindow window{&trace, std::nullopt};
-  return classify_prepared_scored(window, ws);
-}
-
-std::vector<Disassembly> HierarchicalDisassembler::classify_batch_scored(
-    const sim::TraceSet& traces) const {
+std::vector<Disassembly> HierarchicalDisassembler::classify_windows(
+    std::span<const sim::Trace> traces, bool scored) const {
   std::vector<Disassembly> out(traces.size());
-  if (traces.empty()) return out;
-
-  // The lane-vectorized path needs a score surface at the group level and in
-  // every non-trivial level-2 model; hard-decision classifiers fall back to
-  // the scalar scored path window by window.
-  const auto has_scores = [](const Level& level) {
-    return level.trivial || (level.classifier != nullptr &&
-                             !level.classifier->score_labels().empty());
-  };
-  bool all_scored = has_scores(group_level_);
-  for (const auto& [group, level] : instruction_levels_) {
-    (void)group;
-    all_scored = all_scored && has_scores(level);
-  }
-  if (!all_scored) {
-    dsp::CwtWorkspace ws;
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      PreparedWindow window{&traces[i], std::nullopt};
-      out[i] = classify_prepared_scored(window, ws);
-    }
-    return out;
-  }
-
-  std::map<std::size_t, std::vector<std::size_t>> by_length;
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    by_length[traces[i].samples.size()].push_back(i);
-  }
-
-  dsp::CwtWorkspace scalar_ws;
-  dsp::CwtBatchWorkspace batch_ws;
-
-  const auto gate = [](Disassembly& o, const Level& level,
-                       const ml::ScoredPrediction& p, bool fatal) {
-    if (!level.gate.active) return;
-    const double margin_headroom = p.margin - level.gate.margin_floor;
-    const double score_headroom = p.top_score - level.gate.score_floor;
-    o.margin_headroom = std::min(o.margin_headroom, margin_headroom);
-    o.score_headroom = std::min(o.score_headroom, score_headroom);
-    if (margin_headroom < 0.0 || score_headroom < 0.0) {
-      o.verdict = fatal ? Verdict::kRejected
-                        : std::max(o.verdict, Verdict::kDegraded);
-    }
-  };
-
-  const auto post_index = [&](std::size_t cls) {
+  const auto post_index = [this](int label) {
+    const auto cls = static_cast<std::size_t>(label);
     const auto it = std::lower_bound(posterior_classes_.begin(),
                                      posterior_classes_.end(), cls);
     if (it == posterior_classes_.end() || *it != cls) {
@@ -827,154 +461,154 @@ std::vector<Disassembly> HierarchicalDisassembler::classify_batch_scored(
     return static_cast<std::size_t>(it - posterior_classes_.begin());
   };
 
-  for (const auto& [length, idx] : by_length) {
-    if (idx.size() < 2 || length == 0) {
-      for (const std::size_t i : idx) {
-        PreparedWindow window{&traces[i], std::nullopt};
-        out[i] = classify_prepared_scored(window, scalar_ws);
-      }
+  // The SoA batch primitives want equal-length lanes, so windows bucket by
+  // trace length first (one CWT/FFT geometry per bucket).  Every bucket, one
+  // window or many, then flows through the lane-vectorized pipeline: batch
+  // CWT + fused feature transform + blocked QDA scoring, all of which keep
+  // the per-window accumulation order, so a window's result never depends on
+  // its batch-mates.  Malformed windows are refused before any level runs.
+  std::map<std::size_t, std::vector<std::size_t>> by_length;
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    if (malformed(traces[i])) {
+      out[i].verdict = Verdict::kRejected;
+      out[i].margin_headroom = -kInf;
+      out[i].score_headroom = -kInf;
       continue;
     }
+    by_length[traces[i].samples.size()].push_back(i);
+  }
 
+  dsp::CwtBatchWorkspace ws;  // grow-once scratch for every bucket
+  std::vector<double> soa_raw, soa_norm, soa_subset;
+  for (const auto& [length, idx] : by_length) {
     const std::size_t n = idx.size();
-    for (const std::size_t i : idx) {
-      out[i].log_posterior.assign(posterior_classes_.size(), -kInf);
-    }
+    soa_raw.clear();
+    soa_norm.clear();
 
-    // Full-bucket SoA marshal shared across levels -- identical to
-    // classify_batch (see the comment there).
-    std::vector<double> soa_raw, soa_norm;
-    std::vector<double> soa_subset;
-    const auto bucket_soa = [&](bool normalize) -> const std::vector<double>& {
+    // The lanes `subset` of this bucket as one struct-of-arrays block.  The
+    // whole bucket marshals once per view kind (raw, or per-trace normalized
+    // when the level's pipeline asks for it), lazily; the up-to-four level
+    // pipelines read it in place, and levels running on part of the bucket
+    // gather just their lanes from it (row-contiguous copies).
+    const auto lanes = [&](const Level& level, std::span<const std::size_t> subset)
+        -> std::span<const double> {
+      const bool normalize = level.pipeline.config().per_trace_normalization;
       std::vector<double>& soa = normalize ? soa_norm : soa_raw;
       if (soa.empty()) {
         std::vector<const std::vector<double>*> ptrs(n);
-        std::vector<std::vector<double>> normalized;
-        if (normalize) {
-          normalized.resize(n);
-          for (std::size_t p = 0; p < n; ++p) {
-            normalized[p] =
-                features::FeaturePipeline::preprocess_window(traces[idx[p]], true);
-            ptrs[p] = &normalized[p];
+        std::vector<std::vector<double>> normalized(normalize ? n : 0);
+        for (std::size_t p = 0; p < n; ++p) {
+          const sim::Trace& t = traces[idx[p]];
+          if (normalize) {
+            normalized[p] = features::FeaturePipeline::preprocess_window(t, true);
           }
-        } else {
-          for (std::size_t p = 0; p < n; ++p) ptrs[p] = &traces[idx[p]].samples;
+          ptrs[p] = normalize ? &normalized[p] : &t.samples;
         }
         dsp::Cwt::marshal({ptrs.data(), ptrs.size()}, soa);
       }
-      return soa;
-    };
-
-    const auto level_feats = [&](const Level& level,
-                                 std::span<const std::size_t> subset) {
-      const std::vector<double>& full =
-          bucket_soa(level.pipeline.config().per_trace_normalization);
       const std::size_t m = subset.size();
-      std::span<const double> soa(full);
-      if (m != n) {
-        soa_subset.resize(length * m);
-        for (std::size_t t = 0; t < length; ++t) {
-          const double* __restrict src = full.data() + t * n;
-          double* __restrict dst = soa_subset.data() + t * m;
-          for (std::size_t i = 0; i < m; ++i) dst[i] = src[subset[i]];
-        }
-        soa = soa_subset;
+      if (m == n) return soa;
+      soa_subset.resize(length * m);
+      for (std::size_t t = 0; t < length; ++t) {
+        const double* __restrict src = soa.data() + t * n;
+        double* __restrict dst = soa_subset.data() + t * m;
+        for (std::size_t i = 0; i < m; ++i) dst[i] = src[subset[i]];
       }
-      return level.pipeline.transform_soa_batch(soa, length, m,
-                                                level.components, batch_ws);
+      return soa_subset;
     };
 
-    std::vector<std::size_t> all(n);
-    for (std::size_t p = 0; p < n; ++p) all[p] = p;
-
-    // Level 1 over the whole bucket, score surfaces kept.  Each lane's
-    // column replays the exact scalar scored path: scored_from_scores for
-    // the gate, log_softmax for the posterior factor.
-    std::vector<int> group_labels;
-    linalg::Matrix group_logp;  // (#group labels x lanes)
-    if (group_level_.trivial) {
-      group_labels = {group_level_.only_label};
-      group_logp = linalg::Matrix(1, n, 0.0);
-      for (std::size_t p = 0; p < n; ++p) out[idx[p]].group = group_level_.only_label;
-    } else {
-      const linalg::Matrix s =
-          group_level_.classifier->class_scores_batch(level_feats(group_level_, all));
-      group_labels = group_level_.classifier->score_labels();
-      group_logp = linalg::Matrix(s.rows(), n);
-      linalg::Vector col(s.rows());
-      for (std::size_t p = 0; p < n; ++p) {
-        for (std::size_t c = 0; c < s.rows(); ++c) col[c] = s(c, p);
-        Disassembly& o = out[idx[p]];
-        const ml::ScoredPrediction g = ml::scored_from_scores(col, group_labels);
-        o.group = g.label;
-        gate(o, group_level_, g, /*fatal=*/true);
-        const linalg::Vector lp = log_softmax(col);
-        for (std::size_t c = 0; c < s.rows(); ++c) group_logp(c, p) = lp[c];
-      }
-    }
-    for (std::size_t p = 0; p < n; ++p) {
-      if (instruction_levels_.find(out[idx[p]].group) == instruction_levels_.end()) {
-        throw std::invalid_argument("classify_within_group: group not trained");
-      }
-    }
-    const auto group_row = [&](int group) -> std::ptrdiff_t {
-      for (std::size_t i = 0; i < group_labels.size(); ++i) {
-        if (group_labels[i] == group) return static_cast<std::ptrdiff_t>(i);
-      }
-      return -1;
-    };
-
-    // Level 2: every trained level over the whole bucket (matching the
-    // scalar scored path); the predicted group's column drives the verdict.
-    for (const auto& [group, level] : instruction_levels_) {
-      const std::ptrdiff_t grow = group_row(group);
+    // One level over `subset`: a scored prediction per lane and, when the
+    // posterior is wanted and the level has a score surface, the per-lane
+    // log-softmax of that surface.  Trivial and hard-decision levels (SVM
+    // votes, kNN) leave it empty: a one-hot factor at their prediction.
+    const auto run = [&](const Level& level, std::span<const std::size_t> subset,
+                         bool posterior) {
+      LevelRun r;
+      const std::size_t m = subset.size();
       if (level.trivial) {
-        const auto cls = static_cast<std::size_t>(level.only_label);
-        const std::size_t pi = post_index(cls);
-        for (std::size_t p = 0; p < n; ++p) {
-          Disassembly& o = out[idx[p]];
-          o.log_posterior[pi] = grow < 0 ? -kInf : group_logp(grow, p);
-          if (o.group == group) o.class_idx = cls;
-        }
-        continue;
-      }
-      const linalg::Matrix s =
-          level.classifier->class_scores_batch(level_feats(level, all));
-      const std::vector<int>& labels = level.classifier->score_labels();
-      std::vector<std::size_t> post_idx(labels.size());
-      for (std::size_t i = 0; i < labels.size(); ++i) {
-        post_idx[i] = post_index(static_cast<std::size_t>(labels[i]));
-      }
-      linalg::Vector col(s.rows());
-      for (std::size_t p = 0; p < n; ++p) {
-        for (std::size_t c = 0; c < s.rows(); ++c) col[c] = s(c, p);
-        Disassembly& o = out[idx[p]];
-        if (o.group == group) {
-          const ml::ScoredPrediction c = ml::scored_from_scores(col, labels);
-          o.class_idx = static_cast<std::size_t>(c.label);
-          gate(o, level, c, /*fatal=*/true);
-        }
-        const double g_lp = grow < 0 ? -kInf : group_logp(grow, p);
-        const linalg::Vector lp = log_softmax(col);
-        for (std::size_t i = 0; i < labels.size(); ++i) {
-          o.log_posterior[post_idx[i]] = g_lp + lp[i];
-        }
-      }
-    }
-
-    // Level 3: identical to classify_batch -- operand posteriors are out of
-    // scope, so the plain scored-prediction batch suffices.
-    const auto predict_batch = [&](const Level& level,
-                                   std::span<const std::size_t> subset) {
-      if (level.trivial) {
-        return std::vector<ml::ScoredPrediction>(
-            subset.size(), ml::ScoredPrediction{level.only_label, kInf, kInf});
+        r.pred.assign(m, ml::ScoredPrediction{level.only_label, kInf, kInf});
+        return r;
       }
       if (level.classifier == nullptr) throw std::runtime_error("level not trained");
-      return level.classifier->predict_scored_batch(level_feats(level, subset));
+      const linalg::Matrix feats = level.pipeline.transform_soa_batch(
+          lanes(level, subset), length, m, level.components, ws);
+      const std::vector<int>& labels = level.classifier->score_labels();
+      if (!posterior || labels.empty()) {
+        r.pred = level.classifier->predict_scored_batch(feats);
+        return r;
+      }
+      const linalg::Matrix s = level.classifier->class_scores_batch(feats);
+      r.pred.resize(m);
+      r.logp = linalg::Matrix(s.rows(), m);
+      linalg::Vector col(s.rows());
+      for (std::size_t p = 0; p < m; ++p) {
+        for (std::size_t c = 0; c < s.rows(); ++c) col[c] = s(c, p);
+        r.pred[p] = ml::scored_from_scores(col, labels);
+        const linalg::Vector lp = log_softmax(col);
+        for (std::size_t c = 0; c < s.rows(); ++c) r.logp(c, p) = lp[c];
+      }
+      return r;
     };
-    const auto predict_registers = [&](const Level* level, bool rd) {
-      if (level == nullptr) return;
+
+    // Level 1: one batch over the whole bucket.
+    std::vector<std::size_t> all(n);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    const LevelRun g = run(group_level_, all, scored);
+    for (std::size_t p = 0; p < n; ++p) {
+      Disassembly& o = out[idx[p]];
+      o.group = g.pred[p].label;
+      fold_gate(o, group_level_.gate, g.pred[p], /*fatal=*/true);
+      if (!instruction_levels_.contains(o.group)) {
+        throw std::invalid_argument("classify_within_group: group not trained");
+      }
+      if (scored) o.log_posterior.assign(posterior_classes_.size(), -kInf);
+    }
+    // log P(group | x) of lane p.
+    const auto group_log = [&](std::size_t p, int group) {
+      if (g.logp.rows() == 0) return group == out[idx[p]].group ? 0.0 : -kInf;
+      const std::vector<int>& labels = group_level_.classifier->score_labels();
+      for (std::size_t c = 0; c < labels.size(); ++c) {
+        if (labels[c] == group) return g.logp(c, p);
+      }
+      return -kInf;
+    };
+
+    // Level 2, one batch per trained group.  Plain: over the lanes predicted
+    // into that group.  Scored: over every lane, so the posterior keeps
+    // honest mass outside the predicted group, log P(class | x) =
+    // log P(group | x) + log P(class | group, x); only the predicted group's
+    // prediction sets the class and feeds the gate.
+    for (const auto& [group, level] : instruction_levels_) {
+      std::vector<std::size_t> subset;
+      for (std::size_t p = 0; p < n; ++p) {
+        if (scored || out[idx[p]].group == group) subset.push_back(p);
+      }
+      if (subset.empty()) continue;
+      const LevelRun c = run(level, subset, scored);
+      std::vector<std::size_t> post(c.logp.rows());
+      for (std::size_t k = 0; k < post.size(); ++k) {
+        post[k] = post_index(level.classifier->score_labels()[k]);
+      }
+      for (std::size_t i = 0; i < subset.size(); ++i) {
+        Disassembly& o = out[idx[subset[i]]];
+        if (o.group == group) {
+          o.class_idx = static_cast<std::size_t>(c.pred[i].label);
+          fold_gate(o, level.gate, c.pred[i], /*fatal=*/true);
+        }
+        if (!scored) continue;
+        const double g_lp = group_log(subset[i], group);
+        if (post.empty()) o.log_posterior[post_index(c.pred[i].label)] = g_lp;
+        for (std::size_t k = 0; k < post.size(); ++k) {
+          o.log_posterior[post[k]] = g_lp + c.logp(k, i);
+        }
+      }
+    }
+
+    // Level 3: operand recovery over the lanes whose class uses each operand
+    // (operand posteriors are out of scope).
+    for (const bool rd : {true, false}) {
+      const Level* level = rd ? rd_level_.get() : rr_level_.get();
+      if (level == nullptr) continue;
       std::vector<std::size_t> subset;
       for (std::size_t p = 0; p < n; ++p) {
         const std::size_t class_idx = out[idx[p]].class_idx;
@@ -982,20 +616,14 @@ std::vector<Disassembly> HierarchicalDisassembler::classify_batch_scored(
           subset.push_back(p);
         }
       }
-      if (subset.empty()) return;
-      const std::vector<ml::ScoredPrediction> r = predict_batch(*level, subset);
+      if (subset.empty()) continue;
+      const LevelRun r = run(*level, subset, /*posterior=*/false);
       for (std::size_t i = 0; i < subset.size(); ++i) {
         Disassembly& o = out[idx[subset[i]]];
-        if (rd) {
-          o.rd = static_cast<std::uint8_t>(r[i].label);
-        } else {
-          o.rr = static_cast<std::uint8_t>(r[i].label);
-        }
-        gate(o, *level, r[i], /*fatal=*/false);
+        (rd ? o.rd : o.rr) = static_cast<std::uint8_t>(r.pred[i].label);
+        fold_gate(o, level->gate, r.pred[i], /*fatal=*/false);
       }
-    };
-    predict_registers(rd_level_.get(), /*rd=*/true);
-    predict_registers(rr_level_.get(), /*rd=*/false);
+    }
   }
   return out;
 }

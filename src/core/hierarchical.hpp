@@ -20,7 +20,9 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "avr/grouping.hpp"
 #include "features/pipeline.hpp"
@@ -157,7 +159,12 @@ class HierarchicalDisassembler {
   static HierarchicalDisassembler train(const ProfilingData& data,
                                         HierarchicalConfig config = {});
 
-  /// Full three-level classification of one trace window.
+  /// Full three-level classification of one trace window -- a batch of one
+  /// through the same body as classify_batch().
+  ///
+  /// An empty window, or one with a NaN or infinite sample, comes back
+  /// kRejected with both headrooms at -inf and an empty posterior, whether
+  /// or not the gates are calibrated; its batch-mates are unaffected.
   ///
   /// Thread-safety contract: classify() and every other const member are
   /// safe to call concurrently from any number of threads on one shared,
@@ -171,22 +178,25 @@ class HierarchicalDisassembler {
   /// -- the usual C++ const-correctness rule, with no exceptions hiding in
   /// caches.  runtime::StreamingDisassembler relies on this to share one
   /// model across its worker pool.
-  Disassembly classify(const sim::Trace& trace) const;
+  Disassembly classify(const sim::Trace& trace) const {
+    return classify_windows({&trace, 1}, false).front();
+  }
 
-  /// Batched classification -- bit-identical to calling classify() per
-  /// window (labels, operands, verdicts, and headrooms match to the last
-  /// bit), but lane-vectorized: windows bucket by trace length, and each
-  /// multi-window bucket runs the whole hot path in struct-of-arrays form --
-  /// batch CWT (Cwt::transform_batch / coefficients_batch over a shared FFT
-  /// plan), fused feature transform (FeaturePipeline::transform_prepared_
-  /// batch), and blocked QDA scoring (Qda::predict_scored_batch) -- with the
-  /// window dimension innermost so every inner loop vectorizes across the
-  /// batch while each window keeps the scalar accumulation order.  Level 2
-  /// re-batches by predicted group and level 3 by operand usage, so every
-  /// classifier invocation stays a dense sub-batch.  Singleton buckets take
-  /// the scalar path.  This is the engine-room of the fleet runtime's
-  /// submit_batch path.  Thread-safe like classify().
-  std::vector<Disassembly> classify_batch(const sim::TraceSet& traces) const;
+  /// Batched classification, lane-vectorized: windows bucket by trace
+  /// length, and each bucket -- one window or many -- runs the whole hot
+  /// path in struct-of-arrays form: batch CWT (Cwt::transform_batch /
+  /// coefficients_batch over a shared FFT plan), fused feature transform
+  /// (FeaturePipeline::transform_soa_batch), and blocked QDA scoring
+  /// (Qda::predict_scored_batch), with the window dimension innermost so
+  /// every inner loop vectorizes across the batch while each window keeps
+  /// its own accumulation order.  out[i] is therefore bit-identical to
+  /// classify(traces[i]) whatever the batch around it.  Level 2 re-batches
+  /// by predicted group and level 3 by operand usage, so every classifier
+  /// invocation stays a dense sub-batch.  This is the engine-room of the
+  /// fleet runtime's submit_batch path.  Thread-safe like classify().
+  std::vector<Disassembly> classify_batch(const sim::TraceSet& traces) const {
+    return classify_windows(traces, false);
+  }
 
   /// classify() plus the full per-class log-posterior (see
   /// Disassembly::log_posterior).  Labels, operands, verdicts and headrooms
@@ -197,15 +207,17 @@ class HierarchicalDisassembler {
   /// costs roughly one level-2 evaluation per trained group.  Levels whose
   /// classifier exposes no score surface (SVM votes, kNN) contribute a
   /// one-hot factor at their prediction.  Thread-safe like classify().
-  Disassembly classify_scored(const sim::Trace& trace) const;
+  Disassembly classify_scored(const sim::Trace& trace) const {
+    return classify_windows({&trace, 1}, true).front();
+  }
 
   /// Batched scored classification: classify_batch's lane-vectorized hot
-  /// path (SoA marshal, fused feature transform, blocked QDA scoring) with
-  /// the score surfaces kept, so out[i] is bit-identical to
-  /// classify_scored(traces[i]) including the posterior.  Falls back to the
-  /// scalar scored path per window when any class-level classifier lacks a
-  /// score surface.  Thread-safe like classify().
-  std::vector<Disassembly> classify_batch_scored(const sim::TraceSet& traces) const;
+  /// path with the score surfaces kept, so out[i] is bit-identical to
+  /// classify_scored(traces[i]) including the posterior.  Thread-safe like
+  /// classify().
+  std::vector<Disassembly> classify_batch_scored(const sim::TraceSet& traces) const {
+    return classify_windows(traces, true);
+  }
 
   /// Ascending class indices spanned by Disassembly::log_posterior -- the
   /// classes the model was profiled on.  Sequence decoders index their
@@ -332,19 +344,10 @@ class HierarchicalDisassembler {
   static ml::ScoredPrediction predict_level_scored(const Level& level,
                                                    const sim::Trace& trace,
                                                    std::size_t components);
-  /// One window mid-batch: the raw trace plus its lazily computed per-trace
-  /// normalization, shared across the levels that need it.
-  struct PreparedWindow;
-  static ml::ScoredPrediction predict_level_prepared(const Level& level,
-                                                     PreparedWindow& window,
-                                                     dsp::CwtWorkspace& ws);
-  /// classify() on a prepared window with caller-owned scratch -- the shared
-  /// implementation of classify() and classify_batch().
-  Disassembly classify_prepared(PreparedWindow& window, dsp::CwtWorkspace& ws) const;
-  /// classify_scored() on a prepared window -- the scalar scored path shared
-  /// by classify_scored() and classify_batch_scored()'s fallbacks.
-  Disassembly classify_prepared_scored(PreparedWindow& window,
-                                       dsp::CwtWorkspace& ws) const;
+  /// The one classify body behind classify, classify_scored, classify_batch
+  /// and classify_batch_scored; `scored` keeps the per-class log-posterior.
+  std::vector<Disassembly> classify_windows(std::span<const sim::Trace> traces,
+                                            bool scored) const;
   /// Rebuilds posterior_classes_ from the trained levels (load path; train()
   /// takes the support straight from the profiling corpus).
   void finalize_posterior_support();

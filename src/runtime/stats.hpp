@@ -98,8 +98,9 @@ struct RuntimeStats {
   /// Batch-amortization telemetry of the worker pool: how many windows each
   /// classification pass actually carried (the realized lane count of the
   /// SoA hot path -- one sample per worker pass, value = windows), and how
-  /// classify wall-time splits between the lane-vectorized batch path and
-  /// the scalar per-window path.  batch_classify_nanos /
+  /// classify wall-time splits between multi-window passes and per-window
+  /// passes (the "scalar" fields: Stage::fn, which for a model-backed stage
+  /// is a one-window batch).  batch_classify_nanos /
   /// batch_classified_windows vs the scalar ratio is the in-situ
   /// amortization factor a deployment actually realizes.
   LatencyHistogram windows_per_batch;       ///< counts, not nanos

@@ -105,8 +105,11 @@ class StreamingDisassembler {
 
   /// Classification stage + its identity stamp, swapped and pinned as one
   /// unit (see swap_classifier).  `fn` is required; `batch`, when absent,
-  /// falls back to looping `fn` per window.  Public so multi-tenant callers
-  /// (FleetFrontend) can pin per-batch stages for many models on one engine.
+  /// falls back to looping `fn` per window.  In a model-backed stage both
+  /// entries reach the model's one classify body -- `fn` as a one-window
+  /// batch -- so a window's result does not depend on which entry ran it.
+  /// Public so multi-tenant callers (FleetFrontend) can pin per-batch
+  /// stages for many models on one engine.
   struct Stage {
     ClassifyFn fn;
     BatchClassifyFn batch;
@@ -116,8 +119,10 @@ class StreamingDisassembler {
   /// the engine, and every in-flight job.
   using StageRef = std::shared_ptr<const Stage>;
 
-  /// Builds a model-backed stage (classify + classify_batch closures).  The
-  /// shared_ptr keeps the model alive as long as any job can still run it.
+  /// Builds a model-backed stage (classify + classify_batch closures); the
+  /// four factories differ only in model kind and plain/scored results.
+  /// The shared_ptr keeps the model alive as long as any job can still run
+  /// it.
   static StageRef make_stage(
       std::shared_ptr<const core::HierarchicalDisassembler> model,
       std::uint64_t stamp = 0);

@@ -4,9 +4,11 @@
 // output must equal the scalar path's to the last bit -- at every layer:
 // the lane-tile kernels in every ISA build the host runs, FFT, CWT (full
 // transform and sparse extraction), fused feature transform, blocked
-// Mahalanobis/QDA scoring, and the full hierarchical classify_batch across
-// batch sizes, mixed content, mixed trace lengths, and streaming worker
-// counts.
+// Mahalanobis/QDA scoring.  Per-window classify() is itself a one-window
+// batch, so the full hierarchical classify_batch is held to batch-n vs
+// batch-1 invariance (batch sizes, mixed content, mixed trace lengths,
+// streaming worker counts) and to frozen goldens of the former per-window
+// path (tests/golden/).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -20,6 +22,7 @@
 #include "dsp/fft.hpp"
 #include "dsp/wavelet.hpp"
 #include "features/pipeline.hpp"
+#include "golden.hpp"
 #include "linalg/lane_kernels.hpp"
 #include "ml/discriminant.hpp"
 #include "runtime/streaming.hpp"
@@ -43,7 +46,7 @@ std::vector<double> random_signal(std::size_t n, std::mt19937_64& rng) {
 // Same bits, not just equal values (+0.0 vs -0.0 and NaN payloads count).
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 // -- lane-tile kernels, every ISA build ---------------------------------------
@@ -483,33 +486,50 @@ TEST(FeaturesBatch, TransformPreparedBatchMatchesScalarColumns) {
 
 class BatchModelFixture : public ::testing::Test {
  protected:
-  static const core::HierarchicalDisassembler& model() {
-    static const core::HierarchicalDisassembler m = [] {
+  static const core::ProfilingData& profiling_data() {
+    static const core::ProfilingData data = [] {
       sim::AcquisitionCampaign campaign{sim::DeviceModel::make(0),
                                         sim::SessionContext::make(0)};
       std::mt19937_64 rng{31};
-      core::ProfilingData data;
+      core::ProfilingData d;
       for (avr::Mnemonic mn : {avr::Mnemonic::kAdd, avr::Mnemonic::kLdi,
                                avr::Mnemonic::kCom, avr::Mnemonic::kRjmp}) {
-        data.classes[*avr::class_index(mn)] =
+        d.classes[*avr::class_index(mn)] =
             campaign.capture_class(*avr::class_index(mn), 50, 5, rng);
       }
       for (std::uint8_t r : {4, 20}) {
-        data.rd_classes[r] = campaign.capture_register(true, r, 120, 5, rng);
-        data.rr_classes[r] = campaign.capture_register(false, r, 120, 5, rng);
+        d.rd_classes[r] = campaign.capture_register(true, r, 120, 5, rng);
+        d.rr_classes[r] = campaign.capture_register(false, r, 120, 5, rng);
       }
-      core::HierarchicalConfig cfg;
-      cfg.pipeline = core::csa_config();
-      cfg.pipeline.pca_components = 10;
-      cfg.group_components = 8;
-      cfg.instruction_components = 8;
-      cfg.register_components = 10;
-      cfg.factory.discriminant.shrinkage = 0.15;
-      auto model = core::HierarchicalDisassembler::train(data, cfg);
-      // Armed gates make verdict/headroom equality a real statement.
-      model.calibrate_reject(data, core::RejectOperatingPoint::kBalanced);
-      return model;
+      return d;
     }();
+    return data;
+  }
+
+  static core::HierarchicalDisassembler train(ml::ClassifierKind kind) {
+    core::HierarchicalConfig cfg;
+    cfg.pipeline = core::csa_config();
+    cfg.pipeline.pca_components = 10;
+    cfg.group_components = 8;
+    cfg.instruction_components = 8;
+    cfg.register_components = 10;
+    cfg.classifier = kind;
+    cfg.factory.discriminant.shrinkage = 0.15;
+    auto model = core::HierarchicalDisassembler::train(profiling_data(), cfg);
+    // Armed gates make verdict/headroom equality a real statement.
+    model.calibrate_reject(profiling_data(), core::RejectOperatingPoint::kBalanced);
+    return model;
+  }
+
+  static const core::HierarchicalDisassembler& model() {
+    static const core::HierarchicalDisassembler m = train(ml::ClassifierKind::kQda);
+    return m;
+  }
+
+  /// Same corpus, hard-decision kNN at every level: no score surface, so the
+  /// scored path composes one-hot posterior factors at the predictions.
+  static const core::HierarchicalDisassembler& hard_model() {
+    static const core::HierarchicalDisassembler m = train(ml::ClassifierKind::kKnn);
     return m;
   }
 
@@ -536,6 +556,36 @@ class BatchModelFixture : public ::testing::Test {
     return out;
   }
 
+  /// Four length buckets: the native window length (>= 2 windows), a
+  /// truncated length (>= 2 windows), a one-window bucket, and a pair so
+  /// short that some feature points lie past the end of the window by more
+  /// than the wavelet's reach (zero taps).
+  static sim::TraceSet mixed_length_windows() {
+    sim::TraceSet pool = mixed_windows(12);
+    for (std::size_t i = 0; i < 5; ++i) pool[i].samples.resize(250);
+    pool[5].samples.resize(120);
+    pool[6].samples.resize(12);
+    pool[7].samples.resize(12);
+    return pool;
+  }
+
+  /// Every entry point on `pool` against the frozen per-window results in
+  /// `file`: per-window classify()/classify_scored() and the whole pool as
+  /// one classify_batch()/classify_batch_scored() call.
+  static void expect_goldens(const core::HierarchicalDisassembler& m,
+                             const std::string& file, const std::string& name,
+                             const sim::TraceSet& pool) {
+    std::vector<core::Disassembly> plain, scored;
+    for (const sim::Trace& t : pool) {
+      plain.push_back(m.classify(t));
+      scored.push_back(m.classify_scored(t));
+    }
+    golden::expect_case(file, name + ".plain", plain);
+    golden::expect_case(file, name + ".scored", scored);
+    golden::expect_case(file, name + ".plain", m.classify_batch(pool));
+    golden::expect_case(file, name + ".scored", m.classify_batch_scored(pool));
+  }
+
   static void expect_identical(const core::Disassembly& batch,
                                const core::Disassembly& single,
                                std::size_t window) {
@@ -546,13 +596,19 @@ class BatchModelFixture : public ::testing::Test {
     EXPECT_EQ(batch.verdict, single.verdict) << "window " << window;
     EXPECT_EQ(batch.margin_headroom, single.margin_headroom) << "window " << window;
     EXPECT_EQ(batch.score_headroom, single.score_headroom) << "window " << window;
+    EXPECT_TRUE(same_bits(batch.log_posterior, single.log_posterior)) << "window " << window;
   }
 };
 
+// classify() is a one-window batch; every batch size from 1 to 64 must
+// reproduce it window for window, plain and scored (posterior included).
 TEST_F(BatchModelFixture, BitIdenticalAcrossBatchSizes) {
   const sim::TraceSet pool = mixed_windows(64);
-  std::vector<core::Disassembly> reference;
-  for (const sim::Trace& t : pool) reference.push_back(model().classify(t));
+  std::vector<core::Disassembly> reference, reference_scored;
+  for (const sim::Trace& t : pool) {
+    reference.push_back(model().classify(t));
+    reference_scored.push_back(model().classify_scored(t));
+  }
   // Some mixed-content windows must actually exercise the gates and the
   // operand levels, or the equality checks are vacuous.
   std::size_t gated = 0, with_rd = 0;
@@ -560,34 +616,42 @@ TEST_F(BatchModelFixture, BitIdenticalAcrossBatchSizes) {
     if (d.verdict != core::Verdict::kOk) ++gated;
     if (d.rd.has_value()) ++with_rd;
   }
+  EXPECT_GT(gated, 0u) << "eval pool never tripped a reject gate";
   EXPECT_GT(with_rd, 0u) << "eval pool never reached the register level";
 
-  for (const std::size_t k :
-       {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{16}, std::size_t{17},
-        std::size_t{23}, std::size_t{31}, std::size_t{64}}) {
+  for (std::size_t k = 1; k <= pool.size(); ++k) {
     const sim::TraceSet windows(pool.begin(), pool.begin() + static_cast<long>(k));
     const std::vector<core::Disassembly> batch = model().classify_batch(windows);
+    const std::vector<core::Disassembly> scored = model().classify_batch_scored(windows);
     ASSERT_EQ(batch.size(), k);
-    for (std::size_t i = 0; i < k; ++i) expect_identical(batch[i], reference[i], i);
+    ASSERT_EQ(scored.size(), k);
+    for (std::size_t i = 0; i < k; ++i) {
+      expect_identical(batch[i], reference[i], i);
+      expect_identical(scored[i], reference_scored[i], i);
+    }
   }
 }
 
 TEST_F(BatchModelFixture, BitIdenticalWithMixedTraceLengths) {
-  sim::TraceSet pool = mixed_windows(12);
-  // Four length buckets: the native window length (>= 2 windows), a
-  // truncated length (>= 2 windows), a singleton that must take the scalar
-  // path, and a pair so short that some feature points lie past the end of
-  // the window by more than the wavelet's reach (zero taps).
-  for (std::size_t i = 0; i < 5; ++i) pool[i].samples.resize(250);
-  pool[5].samples.resize(120);
-  pool[6].samples.resize(12);
-  pool[7].samples.resize(12);
-
+  const sim::TraceSet pool = mixed_length_windows();
   const std::vector<core::Disassembly> batch = model().classify_batch(pool);
   ASSERT_EQ(batch.size(), pool.size());
   for (std::size_t i = 0; i < pool.size(); ++i) {
     expect_identical(batch[i], model().classify(pool[i]), i);
   }
+}
+
+// The frozen goldens hold the results of the per-window classify path as it
+// stood before classify() became a one-window batch: labels, operands,
+// verdicts and the bits of headrooms and posteriors.
+TEST_F(BatchModelFixture, MatchesFrozenGoldens) {
+  expect_goldens(model(), "batch_model.txt", "mixed", mixed_windows(64));
+  expect_goldens(model(), "batch_model.txt", "lengths", mixed_length_windows());
+}
+
+TEST_F(BatchModelFixture, HardDecisionModelMatchesFrozenGoldens) {
+  expect_goldens(hard_model(), "hard_decision.txt", "mixed", mixed_windows(24));
+  expect_goldens(hard_model(), "hard_decision.txt", "lengths", mixed_length_windows());
 }
 
 TEST_F(BatchModelFixture, StreamingBatchesAreWorkerCountInvariant) {

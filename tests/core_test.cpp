@@ -2,8 +2,9 @@
 // voting, malware detection and the baselines, on small simulated corpora.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <random>
-
 #include <stdexcept>
 
 #include "avr/assembler.hpp"
@@ -153,6 +154,84 @@ TEST_F(CoreFixture, BatchClassifyIsBitIdenticalToPerWindowClassify) {
     EXPECT_EQ(batched[i].score_headroom, single.score_headroom) << "window " << i;
   }
   EXPECT_TRUE(model.classify_batch({}).empty());
+}
+
+// Malformed windows -- empty, or with any NaN/inf sample -- are refused
+// before classification: kRejected, both headrooms -inf, no posterior, on an
+// uncalibrated model as much as on a calibrated one.  Interleaved into a
+// batch, they leave their batch-mates bit-identical.
+TEST_F(CoreFixture, MalformedWindowsAreRejectedBeforeClassification) {
+  ProfilingData data;
+  for (avr::Mnemonic m : {avr::Mnemonic::kAdd, avr::Mnemonic::kLdi, avr::Mnemonic::kCom}) {
+    data.classes[*avr::class_index(m)] = capture(m, 40);
+  }
+  HierarchicalConfig cfg;
+  cfg.pipeline = csa_config();
+  cfg.pipeline.pca_components = 10;
+  cfg.group_components = 8;
+  cfg.instruction_components = 8;
+  auto model = HierarchicalDisassembler::train(data, cfg);
+
+  sim::TraceSet good;
+  for (int i = 0; i < 6; ++i) {
+    const std::size_t cls =
+        *avr::class_index(i % 2 == 0 ? avr::Mnemonic::kAdd : avr::Mnemonic::kCom);
+    good.push_back(campaign.capture_trace(avr::random_instance(cls, rng),
+                                          sim::ProgramContext::make(i % 3), rng));
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  sim::TraceSet bad(4, good.front());
+  bad[0].samples.clear();
+  std::fill(bad[1].samples.begin(), bad[1].samples.end(),
+            std::numeric_limits<double>::quiet_NaN());
+  bad[2].samples[7] = kInf;
+  bad[3].samples.back() = -kInf;
+  // Good and bad windows alternate; the bad ones share the good ones' length
+  // bucket (all but the empty one).
+  sim::TraceSet mixed;
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    mixed.push_back(good[i]);
+    if (i < bad.size()) mixed.push_back(bad[i]);
+  }
+  const auto same = [](const Disassembly& a, const Disassembly& b) {
+    return a.group == b.group && a.class_idx == b.class_idx && a.rd == b.rd &&
+           a.rr == b.rr && a.verdict == b.verdict &&
+           std::memcmp(&a.margin_headroom, &b.margin_headroom, sizeof(double)) == 0 &&
+           std::memcmp(&a.score_headroom, &b.score_headroom, sizeof(double)) == 0 &&
+           a.log_posterior.size() == b.log_posterior.size() &&
+           (a.log_posterior.empty() ||
+            std::memcmp(a.log_posterior.data(), b.log_posterior.data(),
+                        a.log_posterior.size() * sizeof(double)) == 0);
+  };
+  const auto check = [&](const std::string& state) {
+    SCOPED_TRACE(state);
+    for (const sim::Trace& t : bad) {
+      for (const Disassembly& d : {model.classify(t), model.classify_scored(t)}) {
+        EXPECT_EQ(d.verdict, Verdict::kRejected);
+        EXPECT_EQ(d.margin_headroom, -kInf);
+        EXPECT_EQ(d.score_headroom, -kInf);
+        EXPECT_TRUE(d.log_posterior.empty());
+      }
+    }
+    const std::vector<Disassembly> plain = model.classify_batch(mixed);
+    const std::vector<Disassembly> scored = model.classify_batch_scored(mixed);
+    for (std::size_t i = 0, g = 0; i < mixed.size(); ++i) {
+      const bool is_good = i % 2 == 0 || i >= 2 * bad.size();
+      if (!is_good) {
+        EXPECT_EQ(plain[i].verdict, Verdict::kRejected) << "window " << i;
+        EXPECT_TRUE(same(plain[i], scored[i])) << "window " << i;
+        continue;
+      }
+      EXPECT_TRUE(same(plain[i], model.classify(good[g]))) << "window " << i;
+      EXPECT_TRUE(same(scored[i], model.classify_scored(good[g]))) << "window " << i;
+      EXPECT_FALSE(scored[i].log_posterior.empty()) << "window " << i;
+      ++g;
+    }
+  };
+  check("uncalibrated");
+  for (const sim::Trace& t : good) EXPECT_EQ(model.classify(t).verdict, Verdict::kOk);
+  model.calibrate_reject(data);
+  check("calibrated");
 }
 
 TEST_F(CoreFixture, NamedRejectOperatingPointsNestMonotonically) {

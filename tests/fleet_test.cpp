@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <random>
 #include <thread>
 
@@ -451,6 +452,60 @@ TEST_F(FleetModelFixture, DriftMonitorsAreIsolatedPerStream) {
   EXPECT_EQ(clean_events, 0u)
       << "clean stream caught its neighbor's drift -- monitors not isolated";
   EXPECT_EQ(stats.drift_events, drifted_events + clean_events);
+}
+
+// -- malformed input ---------------------------------------------------------
+
+TEST_F(FleetModelFixture, MalformedWindowsAreRejectedAndTheLedgerCloses) {
+  FleetConfig cfg;
+  cfg.shards = 2;
+  cfg.workers_per_shard = 2;
+  cfg.batch_max = 4;
+  cfg.stream_credit = 16;
+  FleetFrontend fleet(model(), cfg);
+  const auto id = fleet.open_stream();
+
+  sim::TraceSet windows = clean_windows(12, 0xbad);
+  const sim::TraceSet clean = windows;
+  windows[3].samples.assign(windows[3].samples.size(),
+                            std::numeric_limits<double>::quiet_NaN());
+  windows[6].samples.clear();
+  windows[9].samples[11] = std::numeric_limits<double>::infinity();
+  for (const sim::Trace& t : windows) ASSERT_TRUE(fleet.submit(id, t).accepted());
+
+  std::vector<FleetResult> got;
+  while (got.size() < windows.size()) {
+    if (auto r = fleet.poll(id)) {
+      got.push_back(std::move(*r));
+    } else {
+      std::this_thread::sleep_for(1ms);
+    }
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].stream_sequence, i);
+    const core::Disassembly& d = got[i].value;
+    if (i == 3 || i == 6 || i == 9) {
+      EXPECT_EQ(d.verdict, core::Verdict::kRejected) << "window " << i;
+      EXPECT_EQ(d.margin_headroom, -std::numeric_limits<double>::infinity());
+      continue;
+    }
+    // The stream's other windows are exactly what they are on their own.
+    const core::Disassembly alone = model()->classify(clean[i]);
+    EXPECT_EQ(d.group, alone.group) << "window " << i;
+    EXPECT_EQ(d.class_idx, alone.class_idx) << "window " << i;
+    EXPECT_EQ(d.verdict, alone.verdict) << "window " << i;
+    EXPECT_EQ(d.margin_headroom, alone.margin_headroom) << "window " << i;
+    EXPECT_EQ(d.score_headroom, alone.score_headroom) << "window " << i;
+  }
+  const StreamStats ss = fleet.stream_stats(id);
+  EXPECT_EQ(ss.windows_admitted, windows.size());
+  EXPECT_EQ(ss.windows_delivered + ss.windows_shed, ss.windows_admitted);
+  EXPECT_EQ(ss.outstanding, 0u);
+  fleet.close_stream(id);
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.windows_delivered, windows.size());
+  EXPECT_EQ(stats.runtime.traces_failed, 0u);
+  EXPECT_GE(stats.runtime.traces_rejected, 3u);
 }
 
 // -- registry resolution -----------------------------------------------------

@@ -4,19 +4,23 @@
 //  * weight corner (1, 0) is bit-identical to the power-only classifier --
 //    the guarantee that lets a fused serving tier consume single-channel
 //    templates with zero behavioural diff;
-//  * fused classify_batch is bit-identical to fused scalar classify across
-//    batch sizes, and streaming verdicts are worker- and shard-count
-//    invariant (fusion adds no scheduling-dependent arithmetic);
+//  * fused classify_batch is bit-identical to per-window fused classify
+//    (a one-window batch) across batch sizes and to frozen goldens, and
+//    streaming verdicts are worker- and shard-count invariant (fusion adds
+//    no scheduling-dependent arithmetic);
+//  * a malformed channel half degrades the window to the other channel;
 //  * one channel recalibrates while the other keeps serving, and the fused
 //    drift monitor attributes drift to the channel that actually moved.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <random>
 #include <vector>
 
 #include "core/csa.hpp"
 #include "core/fusion.hpp"
+#include "golden.hpp"
 #include "runtime/drift.hpp"
 #include "runtime/fleet.hpp"
 #include "runtime/recal.hpp"
@@ -94,6 +98,13 @@ FusedDisassembler balanced_fused() {
                            LevelFusion{FusionMode::kScore, 0.5, 0.5});
 }
 
+/// Probes with the EM half stripped from every third window.
+sim::TraceSet mixed_presence_probes() {
+  sim::TraceSet mixed = world().probes;
+  for (std::size_t i = 0; i < mixed.size(); i += 3) mixed[i].em_samples.clear();
+  return mixed;
+}
+
 void expect_same(const Disassembly& a, const Disassembly& b) {
   EXPECT_EQ(a.group, b.group);
   EXPECT_EQ(a.class_idx, b.class_idx);
@@ -158,9 +169,8 @@ TEST(FusionEquivalence, FusedBatchMatchesFusedScalarAcrossBatchSizes) {
 TEST(FusionEquivalence, MixedPresenceBatchMatchesScalar) {
   const FusedDisassembler fused = balanced_fused();
   // Strip the EM half from every third window: the batch path must fuse the
-  // paired windows and degrade the bare ones exactly like the scalar path.
-  sim::TraceSet mixed = world().probes;
-  for (std::size_t i = 0; i < mixed.size(); i += 3) mixed[i].em_samples.clear();
+  // paired windows and degrade the bare ones exactly like per-window calls.
+  const sim::TraceSet mixed = mixed_presence_probes();
   const std::vector<Disassembly> batch = fused.classify_batch_scored(mixed);
   ASSERT_EQ(batch.size(), mixed.size());
   for (std::size_t i = 0; i < mixed.size(); ++i) {
@@ -168,6 +178,80 @@ TEST(FusionEquivalence, MixedPresenceBatchMatchesScalar) {
     if (!mixed[i].has_em() && batch[i].verdict == core::Verdict::kOk) {
       ADD_FAILURE() << "bare power window must be flagged degraded";
     }
+  }
+}
+
+void expect_goldens(const FusedDisassembler& fused, const std::string& name,
+                    const sim::TraceSet& pool) {
+  std::vector<Disassembly> plain, scored;
+  for (const sim::Trace& t : pool) {
+    plain.push_back(fused.classify(t));
+    scored.push_back(fused.classify_scored(t));
+  }
+  golden::expect_case("fusion.txt", name + ".plain", plain);
+  golden::expect_case("fusion.txt", name + ".scored", scored);
+  golden::expect_case("fusion.txt", name + ".plain", fused.classify_batch(pool));
+  golden::expect_case("fusion.txt", name + ".scored", fused.classify_batch_scored(pool));
+}
+
+// Frozen per-window results of the fused model as they stood before its
+// channel models classified single windows as one-window batches: both
+// degenerate corners, balanced score fusion, and windows without EM.
+TEST(FusionEquivalence, MatchesFrozenGoldens) {
+  expect_goldens(balanced_fused(), "balanced", world().probes);
+  expect_goldens(balanced_fused(), "mixed_em", mixed_presence_probes());
+  const FusedDisassembler power_only(world().power, world().em,
+                                     LevelFusion{FusionMode::kScore, 1.0, 0.0},
+                                     LevelFusion{FusionMode::kScore, 1.0, 0.0});
+  expect_goldens(power_only, "power_only", mixed_presence_probes());
+  const FusedDisassembler em_only(world().power, world().em,
+                                  LevelFusion{FusionMode::kScore, 0.0, 1.0},
+                                  LevelFusion{FusionMode::kScore, 0.0, 1.0});
+  expect_goldens(em_only, "em_only", mixed_presence_probes());
+}
+
+// A fused window whose power half is malformed degrades to the EM result
+// (and vice versa); both halves malformed is a rejection with no posterior.
+// The well-formed windows of the same batch are untouched.
+TEST(FusionRobustness, MalformedHalfDegradesToTheOtherChannel) {
+  const FusedDisassembler fused = balanced_fused();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  sim::TraceSet pool(world().probes.begin(), world().probes.begin() + 8);
+  pool[1].samples[3] = nan;
+  pool[4].em_samples[5] = inf;
+  std::fill(pool[6].samples.begin(), pool[6].samples.end(), nan);
+  std::fill(pool[6].em_samples.begin(), pool[6].em_samples.end(), nan);
+
+  const auto degraded = [](Disassembly d) {
+    d.verdict = std::max(d.verdict, core::Verdict::kDegraded);
+    return d;
+  };
+  std::vector<Disassembly> want;
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    if (i == 1) {
+      want.push_back(degraded(world().em->classify_scored(
+          sim::channel_view(pool[i], sim::Channel::kEm))));
+    } else if (i == 4) {
+      want.push_back(degraded(world().power->classify_scored(
+          sim::channel_view(pool[i], sim::Channel::kPower))));
+    } else if (i == 6) {
+      Disassembly rejected;
+      rejected.verdict = core::Verdict::kRejected;
+      rejected.margin_headroom = -inf;
+      rejected.score_headroom = -inf;
+      want.push_back(rejected);
+    } else {
+      want.push_back(fused.classify_scored(world().probes[i]));
+    }
+  }
+  const std::vector<Disassembly> plain = fused.classify_batch(pool);
+  const std::vector<Disassembly> scored = fused.classify_batch_scored(pool);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    SCOPED_TRACE("window " + std::to_string(i));
+    expect_same(want[i], plain[i]);
+    expect_same(want[i], scored[i]);
+    expect_same(want[i], fused.classify(pool[i]));
   }
 }
 
