@@ -46,15 +46,6 @@ void fold_gate(Disassembly& o, const HierarchicalDisassembler::LevelGate& gate,
   }
 }
 
-/// An empty window, or one with a NaN or infinite sample, carries no
-/// evidence any level could weigh: it is rejected outright, calibrated
-/// gates or not.
-bool malformed(const sim::Trace& t) {
-  return t.samples.empty() ||
-         !std::all_of(t.samples.begin(), t.samples.end(),
-                      [](double v) { return std::isfinite(v); });
-}
-
 /// One level's output over a lane subset: the scored prediction per lane,
 /// and (classes x lanes) log-softmax factors when the level contributed a
 /// posterior; empty `logp` means a one-hot factor at the prediction.
@@ -64,6 +55,12 @@ struct LevelRun {
 };
 
 }  // namespace
+
+bool malformed(const sim::Trace& window) {
+  return window.samples.empty() ||
+         !std::all_of(window.samples.begin(), window.samples.end(),
+                      [](double v) { return std::isfinite(v); });
+}
 
 std::string to_string(Verdict v) {
   switch (v) {
@@ -400,7 +397,13 @@ linalg::Vector HierarchicalDisassembler::monitor_features(const sim::Trace& trac
   if (level == nullptr) {
     throw std::runtime_error("monitor_features: every level is trivial");
   }
-  return level->pipeline.transform(trace, level->components);
+  const std::vector<double> prepared = features::FeaturePipeline::preprocess_window(
+      trace, level->pipeline.config().per_trace_normalization);
+  const std::vector<double>* window[] = {&prepared};
+  dsp::CwtBatchWorkspace ws;
+  const linalg::Matrix z =
+      level->pipeline.transform_prepared_batch(window, level->components, ws);
+  return linalg::Vector(z.data().begin(), z.data().end());
 }
 
 int HierarchicalDisassembler::classify_group(const sim::Trace& trace,

@@ -51,6 +51,11 @@ enum class Verdict : std::uint8_t {
 
 std::string to_string(Verdict v);
 
+/// True for a window no level can weigh: empty, or holding a NaN or infinite
+/// sample.  classify() rejects such a window outright, calibrated gates or
+/// not, and the drift monitors skip it.
+bool malformed(const sim::Trace& window);
+
 /// Reject-option calibration knobs.  Thresholds are *calibrated*, not fixed:
 /// calibrate_reject() classifies held-out clean traces through every level
 /// and places each gate at a low quantile of the clean score distribution,
@@ -187,10 +192,12 @@ class HierarchicalDisassembler {
   /// path in struct-of-arrays form: batch CWT (Cwt::transform_batch /
   /// coefficients_batch over a shared FFT plan), fused feature transform
   /// (FeaturePipeline::transform_soa_batch), and blocked QDA scoring
-  /// (Qda::predict_scored_batch), with the window dimension innermost so
-  /// every inner loop vectorizes across the batch while each window keeps
-  /// its own accumulation order.  out[i] is therefore bit-identical to
-  /// classify(traces[i]) whatever the batch around it.  Level 2 re-batches
+  /// (Qda::predict_scored_batch).  A PCA or QDA call on at least
+  /// linalg::kWindowLanesMin windows vectorizes across the windows; a
+  /// smaller one runs window by window and vectorizes across the
+  /// components or the classes.  Either way each window keeps its own
+  /// accumulation order, so out[i] is bit-identical to classify(traces[i])
+  /// whatever the batch around it.  Level 2 re-batches
   /// by predicted group and level 3 by operand usage, so every classifier
   /// invocation stays a dense sub-batch.  This is the engine-room of the
   /// fleet runtime's submit_batch path.  Thread-safe like classify().
@@ -300,8 +307,10 @@ class HierarchicalDisassembler {
   /// non-trivial, else the first trained instruction level -- the group
   /// level degenerates to a label constant (no pipeline at all) whenever all
   /// profiled classes share one instruction group, so drift must then be
-  /// watched where features still exist.  Thread-safe like classify().
-  /// Throws std::runtime_error when every level is trivial.
+  /// watched where features still exist.  A one-window batch through the
+  /// level's pipeline, bit-identical to pipeline.transform(trace).
+  /// Thread-safe like classify().  Throws std::runtime_error when every
+  /// level is trivial.
   linalg::Vector monitor_features(const sim::Trace& trace) const;
 
   /// Template persistence (QDA levels only); see core/serialize.hpp.

@@ -288,17 +288,29 @@ linalg::Matrix FeaturePipeline::transform_soa_batch(
     for (std::size_t l = 0; l < lanes; ++l) frow[l] -= pm;
   }
 
-  // Stage 3: PCA projection with register-tiled lanes.  Each output row c
+  // Stage 3: PCA projection with register-tiled lanes.  Each output (c, w)
   // accumulates centered-f * axis over points in ascending order -- the
-  // scalar Pca::transform reduction -- but each tile of lanes rides in
-  // registers across the whole point loop (linalg::lane_kernels), so the row
-  // costs zero stores per point instead of one per (point, lane).  Tiling
-  // picks which lane runs when; each lane's sum order is untouched, so
-  // columns stay bit-identical to the scalar pipeline.
+  // scalar Pca::transform reduction -- with its partial sum in a register
+  // across the whole point loop (linalg::lane_kernels).  A bucket that fills
+  // a register tile runs with windows as lanes; a smaller one runs window by
+  // window with the components as lanes (the window's feature column becomes
+  // the broadcast operand, the p-major axes the lane block).  Either way each
+  // output keeps its sum order, so columns stay bit-identical to the scalar
+  // pipeline.
   const linalg::Matrix& axes = pca_.components();
+  const linalg::LaneKernels& kernels = linalg::lane_kernels();
   linalg::Matrix z(k, lanes, 0.0);
-  linalg::lane_kernels().project(axes.data().data(), axes.cols(), np, k,
-                                 f.data().data(), lanes, z.data().data());
+  if (lanes >= linalg::kWindowLanesMin) {
+    kernels.project(axes.data().data(), axes.cols(), np, k, f.data().data(), lanes,
+                    lanes, z.data().data());
+    return z;
+  }
+  std::vector<double> zw(k);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    kernels.project(f.data().data() + l, lanes, np, 1, axes.data().data(), axes.cols(),
+                    k, zw.data());
+    for (std::size_t c = 0; c < k; ++c) z(c, l) = zw[c];
+  }
   return z;
 }
 

@@ -140,11 +140,13 @@ class FeaturePipeline {
   /// per_trace_normalization setting) move through sparse feature-point
   /// extraction, column standardization, and the PCA projection in one fused
   /// pass per stage, with the window dimension innermost so every loop
-  /// vectorizes across the batch.  Returns (components x K) with *columns*
-  /// as windows; column w is bit-identical to
+  /// vectorizes across the batch -- except the projection of fewer than
+  /// linalg::kWindowLanesMin windows, which runs window by window and
+  /// vectorizes across the components.  Returns (components x K) with
+  /// *columns* as windows; column w is bit-identical to
   /// transform_prepared(*prepared[w], components, ws) -- per-window
-  /// reductions keep the scalar accumulation order, only the batch dimension
-  /// is vectorized.
+  /// reductions keep the scalar accumulation order; only independent
+  /// outputs run side by side.
   linalg::Matrix transform_prepared_batch(
       std::span<const std::vector<double>* const> prepared,
       std::size_t components, dsp::CwtBatchWorkspace& ws) const;

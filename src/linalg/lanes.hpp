@@ -16,6 +16,11 @@ namespace sidis::linalg {
 /// across the whole reduction runs at multiply-add throughput instead
 /// (measured ~1.5-1.7x on the sparse CWT gather at baseline x86-64).
 ///
+/// A lane is whatever axis a kernel runs in parallel: windows of a batch,
+/// or -- when a bucket holds too few windows to fill a register -- the
+/// classes of one window's QDA solve or the components of its PCA
+/// projection (lane_kernels.hpp, kWindowLanesMin).
+///
 /// GNU vector extensions compile to whatever vector ISA the translation unit
 /// targets, without arch-specific intrinsics.  VecBytes is the widest
 /// register the tile may use: 16 (SSE2, NEON), 32 (AVX2) or 64 (AVX-512F).
@@ -31,7 +36,10 @@ namespace sidis::linalg {
 /// optimizer.
 ///
 /// Every member is always inlined: an out-of-line copy compiled in an AVX
-/// unit would be a COMDAT the linker could hand to baseline callers.
+/// unit would be a COMDAT the linker could hand to baseline callers.  Each
+/// member's loop over registers is fully unrolled: left rolled, GCC kept
+/// the eight xmm of a 16-lane SSE2 tile in memory, one load and store per
+/// register per step.
 #if defined(__GNUC__) || defined(__clang__)
 #define SIDIS_LANE_VEC 1
 #define SIDIS_LANE_INLINE inline __attribute__((always_inline))
@@ -74,7 +82,8 @@ struct RegOf<sizeof(double)> {
 
 /// A tile of W lanes; see above.  Value-initialized tiles (`Tile{}`) are
 /// zero; the type stays trivial so no constructor is ever emitted out of
-/// line.  The scalar operand of each operation is broadcast to every lane.
+/// line.  A scalar operand is broadcast to every lane; a pointer operand
+/// supplies one value per lane.
 template <std::size_t W, std::size_t VecBytes>
 struct LaneTileN {
   using Reg = typename lane_detail::RegOf<lane_detail::reg_bytes(W, VecBytes)>::type;
@@ -88,20 +97,35 @@ struct LaneTileN {
 
   /// v[l] += s * x[l] for each lane l.
   SIDIS_LANE_INLINE void mul_add(double s, const double* x) {
+#pragma GCC unroll 16
     for (std::size_t i = 0; i < kRegs; ++i) v[i] += s * reg(x, i);
   }
   /// v[l] -= s * x[l] for each lane l.
   SIDIS_LANE_INLINE void mul_sub(double s, const double* x) {
+#pragma GCC unroll 16
     for (std::size_t i = 0; i < kRegs; ++i) v[i] -= s * reg(x, i);
+  }
+  /// v[l] -= s[l] * x[l] for each lane l: a per-lane operand, for kernels
+  /// whose lanes each carry their own matrix (classes as lanes).
+  SIDIS_LANE_INLINE void mul_sub(const double* s, const double* x) {
+#pragma GCC unroll 16
+    for (std::size_t i = 0; i < kRegs; ++i) v[i] -= reg(s, i) * reg(x, i);
   }
   /// v[l] += y[l] * y[l] for each lane l.
   SIDIS_LANE_INLINE void add_square(const LaneTileN& y) {
+#pragma GCC unroll 16
     for (std::size_t i = 0; i < kRegs; ++i) v[i] += y.v[i] * y.v[i];
   }
   /// v[l] /= s for each lane l (a true division -- scalar paths divide, and
   /// multiplying by a reciprocal would round differently).
   SIDIS_LANE_INLINE void div(double s) {
+#pragma GCC unroll 16
     for (std::size_t i = 0; i < kRegs; ++i) v[i] /= s;
+  }
+  /// v[l] /= s[l] for each lane l (per-lane operand, true division).
+  SIDIS_LANE_INLINE void div(const double* s) {
+#pragma GCC unroll 16
+    for (std::size_t i = 0; i < kRegs; ++i) v[i] /= reg(s, i);
   }
 
  private:

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "linalg/lane_kernels.hpp"
+
 namespace sidis::ml {
 
 namespace {
@@ -61,35 +63,81 @@ void Qda::fit(const Dataset& train) {
     models_.push_back(
         stats::MultivariateGaussian::from_moments(m.means[c], cov, config_.ridge));
   }
+  pack_lanes();
 }
 
 Qda Qda::from_parts(std::vector<int> labels,
                     std::vector<stats::MultivariateGaussian> models,
                     std::vector<double> log_priors) {
   if (labels.size() != models.size() || labels.size() != log_priors.size() ||
-      labels.size() < 2) {
+      labels.size() < 2 ||
+      std::any_of(models.begin(), models.end(), [&](const auto& g) {
+        return g.dim() != models.front().dim();
+      })) {
     throw std::invalid_argument("Qda::from_parts: inconsistent parts");
   }
   Qda qda;
   qda.labels_ = std::move(labels);
   qda.models_ = std::move(models);
   qda.log_priors_ = std::move(log_priors);
+  qda.pack_lanes();
   return qda;
 }
 
-linalg::Vector Qda::scores(const linalg::Vector& x) const {
-  if (models_.empty()) throw std::runtime_error("Qda: not fitted");
-  linalg::Vector s(models_.size());
-  for (std::size_t c = 0; c < models_.size(); ++c) {
-    s[c] = models_[c].log_pdf(x) + log_priors_[c];
+void Qda::pack_lanes() {
+  const std::size_t classes = models_.size();
+  const std::size_t n = models_.front().dim();
+  lane_factors_.resize(n * (n + 1) / 2 * classes);
+  lane_means_.resize(n * classes);
+  lane_norms_.resize(classes);
+  for (std::size_t c = 0; c < classes; ++c) {
+    const linalg::Matrix& l = models_[c].cholesky().l;
+    double* tri = lane_factors_.data() + c;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t k = 0; k <= i; ++k, tri += classes) *tri = l(i, k);
+      lane_means_[i * classes + c] = models_[c].mean()[i];
+    }
+    lane_norms_[c] = models_[c].log_normalizer();
   }
-  return s;
+}
+
+linalg::Vector Qda::scores(const linalg::Vector& x) const {
+  linalg::Matrix col(x.size(), 1);
+  std::copy(x.begin(), x.end(), col.data().begin());
+  const linalg::Matrix s = scores_batch(col);
+  return linalg::Vector(s.data().begin(), s.data().end());
 }
 
 linalg::Matrix Qda::scores_batch(const linalg::Matrix& x_cols) const {
   if (models_.empty()) throw std::runtime_error("Qda: not fitted");
   const std::size_t lanes = x_cols.cols();
-  linalg::Matrix s(models_.size(), lanes);
+  const std::size_t classes = models_.size();
+  linalg::Matrix s(classes, lanes);
+  if (lanes < linalg::kWindowLanesMin) {
+    // Classes as lanes, one window at a time: center the window on every
+    // class mean, run one forward solve across all the classes' factors, and
+    // finish each class with log_pdf_batch's normalizer and the prior.  Each
+    // (window, class) score keeps the operation sequence of the other axis.
+    const std::size_t n = models_.front().dim();
+    if (x_cols.rows() != n) {
+      throw std::invalid_argument("MultivariateGaussian: dimension mismatch");
+    }
+    std::vector<double> centered(n * classes), y(n * classes), d2(classes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const double xi = x_cols(i, l);
+        const double* __restrict mean = lane_means_.data() + i * classes;
+        double* __restrict crow = centered.data() + i * classes;
+        for (std::size_t c = 0; c < classes; ++c) crow[c] = xi - mean[c];
+      }
+      linalg::lane_kernels().forward_solve_lanes(lane_factors_.data(), n, centered.data(),
+                                                 classes, y.data(), d2.data());
+      for (std::size_t c = 0; c < classes; ++c) {
+        s(c, l) = -0.5 * (lane_norms_[c] + d2[c]) + log_priors_[c];
+      }
+    }
+    return s;
+  }
   linalg::Matrix centered, solve;  // grow-once scratch shared across classes
   for (std::size_t c = 0; c < models_.size(); ++c) {
     double* __restrict srow = s.row(c).data();

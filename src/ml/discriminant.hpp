@@ -28,10 +28,8 @@ class Qda : public Classifier {
   int predict(const linalg::Vector& x) const override;
   ScoredPrediction predict_scored(const linalg::Vector& x) const override;
 
-  /// Lane-vectorized override: per class, one blocked triangular solve sweeps
-  /// the whole batch (each row of the Cholesky factor loads once per batch),
-  /// then the argmax/runner-up scan runs per column.  Bit-identical to
-  /// predict_scored per column.
+  /// Lane-vectorized override over scores_batch, then the argmax/runner-up
+  /// scan per column.  Bit-identical to predict_scored per column.
   std::vector<ScoredPrediction> predict_scored_batch(
       const linalg::Matrix& x_cols) const override;
 
@@ -48,11 +46,16 @@ class Qda : public Classifier {
   }
 
   /// Per-class posterior log-likelihoods (unnormalized), label order matches
-  /// `labels()`.
+  /// `labels()`: models()[c].log_pdf(x) + log_priors()[c], bit for bit.  A
+  /// one-window scores_batch.
   linalg::Vector scores(const linalg::Vector& x) const;
 
   /// Batched scores: `x_cols` is (dim x lanes), columns as samples; returns
-  /// (classes x lanes), column l bit-identical to scores(column l).
+  /// (classes x lanes), column l bit-identical to scores(column l).  At
+  /// linalg::kWindowLanesMin windows or more, one triangular solve per class
+  /// sweeps the windows as lanes (each factor row loads once per batch);
+  /// below that, one solve per window sweeps the classes as lanes over the
+  /// packed factors.
   linalg::Matrix scores_batch(const linalg::Matrix& x_cols) const;
   const std::vector<int>& labels() const { return labels_; }
   const std::vector<stats::MultivariateGaussian>& models() const { return models_; }
@@ -64,10 +67,18 @@ class Qda : public Classifier {
                         std::vector<double> log_priors);
 
  private:
+  /// Builds the class-lane form below from models_.  fit() and from_parts()
+  /// call it, so a fitted model holds no state that is filled in later.
+  void pack_lanes();
+
   DiscriminantConfig config_;
   std::vector<int> labels_;
   std::vector<stats::MultivariateGaussian> models_;
   std::vector<double> log_priors_;
+  /// models_ with the classes as lanes, for windows scored alone: the lower
+  /// Cholesky triangles in linalg::LaneKernels::forward_solve_lanes' packing,
+  /// the means as a (dim x classes) block, and each class's log_normalizer.
+  std::vector<double> lane_factors_, lane_means_, lane_norms_;
 };
 
 /// Linear discriminant analysis: class means with one pooled covariance.

@@ -39,6 +39,9 @@ DriftMonitor::DriftMonitor(std::shared_ptr<const core::HierarchicalDisassembler>
 }
 
 void DriftMonitor::observe(const sim::Trace& trace, const core::Disassembly& result) {
+  // A malformed window has no features to weigh, and one NaN folded into the
+  // EWMA would stay there for good: it leaves the monitor as it was.
+  if (core::malformed(trace)) return;
   observe_features(model_->monitor_features(trace),
                    result.verdict == core::Verdict::kRejected);
 }

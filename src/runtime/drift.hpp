@@ -112,6 +112,8 @@ class DriftMonitor {
   /// Folds one classified window into the statistics: projects the trace
   /// through the model's monitor pipeline and updates the moment and
   /// reject-rate estimates.  Call from the consumer loop in emission order.
+  /// A malformed window (core::malformed) changes nothing, not even the
+  /// reject rate or the observation count.
   void observe(const sim::Trace& trace, const core::Disassembly& result);
 
   /// Low-level entry point: folds an already-projected feature vector (the

@@ -54,10 +54,14 @@ MultivariateGaussian MultivariateGaussian::from_moments(linalg::Vector mean,
   throw std::runtime_error("MultivariateGaussian: covariance could not be regularized");
 }
 
+double MultivariateGaussian::log_normalizer() const {
+  const double k = static_cast<double>(dim());
+  return k * std::log(2.0 * std::numbers::pi) + log_det();
+}
+
 double MultivariateGaussian::log_pdf(const linalg::Vector& x) const {
   const double d2 = mahalanobis_squared(x);
-  const double k = static_cast<double>(dim());
-  return -0.5 * (k * std::log(2.0 * std::numbers::pi) + log_det() + d2);
+  return -0.5 * (log_normalizer() + d2);
 }
 
 double MultivariateGaussian::mahalanobis_squared(const linalg::Vector& x) const {
@@ -86,11 +90,8 @@ void MultivariateGaussian::log_pdf_batch(const linalg::Matrix& x_cols,
     for (std::size_t l = 0; l < lanes; ++l) crow[l] = xrow[l] - m;
   }
   chol_.mahalanobis_squared_batch(centered, out, solve);
-  // Same normalizer expression as the scalar log_pdf; computing the constant
-  // once per batch is safe because it was already a single subexpression
-  // there (k*log(2pi) + log_det groups left-to-right before d2 joins).
-  const double k = static_cast<double>(dim());
-  const double norm = k * std::log(2.0 * std::numbers::pi) + log_det();
+  // Same normalizer as the scalar log_pdf, computed once per batch.
+  const double norm = log_normalizer();
   for (std::size_t l = 0; l < lanes; ++l) out[l] = -0.5 * (norm + out[l]);
 }
 

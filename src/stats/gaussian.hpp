@@ -44,6 +44,8 @@ class MultivariateGaussian {
   const linalg::Vector& mean() const { return mean_; }
   const linalg::Matrix& covariance() const { return cov_; }
   double log_det() const { return chol_.log_det(); }
+  /// k log(2 pi) + log det(cov): log_pdf(x) is -0.5 * (this + d2(x)).
+  double log_normalizer() const;
 
   double log_pdf(const linalg::Vector& x) const;
   double mahalanobis_squared(const linalg::Vector& x) const;

@@ -14,11 +14,13 @@
 #include <cstddef>
 #include <cstring>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/csa.hpp"
 #include "core/hierarchical.hpp"
+#include "core/serialize.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/wavelet.hpp"
 #include "features/pipeline.hpp"
@@ -28,6 +30,7 @@
 #include "runtime/streaming.hpp"
 #include "sim/acquisition.hpp"
 #include "stats/gaussian.hpp"
+#include "stats/pca.hpp"
 
 namespace sidis {
 namespace {
@@ -153,12 +156,85 @@ TEST(LaneKernels, EveryIsaBuildMatchesScalarReferenceBitForBit) {
         ASSERT_TRUE(same_bits(got, dots_ref[s])) << "dots set " << s << ", " << where;
       }
       std::vector<double> z(components * lanes, -1.0);
-      build->project(axes.data(), stride, points, components, f.data(), lanes, z.data());
+      build->project(axes.data(), stride, points, components, f.data(), lanes, lanes,
+                     z.data());
       ASSERT_TRUE(same_bits(z, z_ref)) << "project, " << where;
       std::vector<double> y(dim * lanes, -1.0), out(lanes, -1.0);
       build->forward_solve(lf, dim, xs.data(), lanes, y.data(), out.data());
       ASSERT_TRUE(same_bits(y, y_ref)) << "forward_solve y, " << where;
       ASSERT_TRUE(same_bits(out, out_ref)) << "forward_solve out, " << where;
+    }
+  }
+}
+
+// The other lane axes of a bucket too small to fill a register tile: the
+// per-lane-factor forward solve (classes as lanes) against the scalar
+// Cholesky::mahalanobis_squared of each class, and the swapped projection
+// (components as lanes, the window's centered feature column as the
+// broadcast operand) against the scalar Pca::transform -- every ISA build,
+// class counts 1..33 and dimensions {1, 2, 3, 5, 43, 50, 64}.
+TEST(LaneKernels, ClassAndComponentLanesMatchScalarReferenceBitForBit) {
+  std::mt19937_64 rng(43);
+  const std::vector<const linalg::LaneKernels*> builds = linalg::lane_kernel_builds();
+  constexpr std::size_t kMaxClasses = 33;
+  for (const std::size_t dim : {1, 2, 3, 5, 43, 50, 64}) {
+    std::vector<linalg::Cholesky> chols;
+    for (std::size_t c = 0; c < kMaxClasses; ++c) {
+      linalg::Matrix a(dim, dim), spd(dim, dim, 0.0);
+      for (double& v : a.data()) v = random_signal(1, rng)[0];
+      for (std::size_t r = 0; r < dim; ++r) {
+        for (std::size_t col = 0; col < dim; ++col) {
+          for (std::size_t k = 0; k < dim; ++k) spd(r, col) += a(k, r) * a(k, col);
+        }
+        spd(r, r) += 1.0;
+      }
+      chols.push_back(linalg::Cholesky::compute(spd));
+      ASSERT_TRUE(chols.back().valid);
+    }
+    for (std::size_t classes = 1; classes <= kMaxClasses; ++classes) {
+      std::vector<double> tri;
+      tri.reserve(dim * (dim + 1) / 2 * classes);
+      for (std::size_t i = 0; i < dim; ++i) {
+        for (std::size_t k = 0; k <= i; ++k) {
+          for (std::size_t c = 0; c < classes; ++c) tri.push_back(chols[c].l(i, k));
+        }
+      }
+      const std::vector<double> xs = random_signal(dim * classes, rng);
+      std::vector<double> out_ref(classes);
+      for (std::size_t c = 0; c < classes; ++c) {
+        linalg::Vector col(dim);
+        for (std::size_t i = 0; i < dim; ++i) col[i] = xs[i * classes + c];
+        out_ref[c] = chols[c].mahalanobis_squared(col);
+      }
+      for (const linalg::LaneKernels* build : builds) {
+        std::vector<double> y(dim * classes, -1.0), out(classes, -1.0);
+        build->forward_solve_lanes(tri.data(), dim, xs.data(), classes, y.data(),
+                                   out.data());
+        ASSERT_TRUE(same_bits(out, out_ref))
+            << "forward_solve_lanes, " << build->isa << " dim " << dim << " classes "
+            << classes;
+      }
+    }
+
+    // Projection: `dim` points onto every k of 64 stored components, the
+    // feature column read at stride 3 as a bucket's middle window.
+    constexpr std::size_t kStored = 64, kBucket = 3;
+    linalg::Matrix axes(dim, kStored);
+    for (double& v : axes.data()) v = random_signal(1, rng)[0];
+    const stats::Pca pca = stats::Pca::from_parts(
+        random_signal(dim, rng), linalg::Vector(kStored, 1.0), axes, double(kStored));
+    const linalg::Vector x = random_signal(dim, rng);
+    std::vector<double> block(dim * kBucket, -1.0);
+    for (std::size_t p = 0; p < dim; ++p) block[p * kBucket + 1] = x[p] - pca.mean()[p];
+    for (std::size_t k = 1; k <= kStored; ++k) {
+      const linalg::Vector z_ref = pca.transform(x, k);
+      for (const linalg::LaneKernels* build : builds) {
+        std::vector<double> z(k, -1.0);
+        build->project(block.data() + 1, kBucket, dim, 1, axes.data().data(), kStored, k,
+                       z.data());
+        ASSERT_TRUE(same_bits(z, z_ref))
+            << "swapped project, " << build->isa << " dim " << dim << " k " << k;
+      }
     }
   }
 }
@@ -409,6 +485,9 @@ TEST(MlBatch, QdaPredictScoredBatchMatchesScalar) {
       for (std::size_t c = 0; c < sref.size(); ++c) {
         ASSERT_EQ(scores(c, l), sref[c])
             << "lanes " << lanes << " lane " << l << " class " << c;
+        // The per-class scalar Gaussian is the reference both axes answer to.
+        ASSERT_EQ(sref[c], qda.models()[c].log_pdf(x) + qda.log_priors()[c])
+            << "lanes " << lanes << " lane " << l << " class " << c;
       }
     }
   }
@@ -426,6 +505,47 @@ TEST(MlBatch, QdaPredictScoredBatchMatchesScalar) {
     EXPECT_EQ(fallback[l].label, ref.label);
     EXPECT_EQ(fallback[l].top_score, ref.top_score);
     EXPECT_EQ(fallback[l].margin, ref.margin);
+  }
+}
+
+// Buckets below linalg::kWindowLanesMin score with the classes as lanes,
+// larger ones with the windows as lanes: every window of a 1..16-lane call
+// must carry the bits of its column in a 64-lane call, here on enough
+// classes (20) to fill a class tile and a tail.
+TEST(MlBatch, QdaSmallBucketsMatchTheColumnsOfA64LaneCall) {
+  std::mt19937_64 rng(47);
+  const std::size_t dim = 11, per_class = 24, classes = 20;
+  ml::Dataset train;
+  train.x = linalg::Matrix(classes * per_class, dim);
+  for (std::size_t cls = 0; cls < classes; ++cls) {
+    for (std::size_t i = 0; i < per_class; ++i) {
+      for (std::size_t c = 0; c < dim; ++c) {
+        train.x(cls * per_class + i, c) =
+            random_signal(1, rng)[0] + 0.5 * double((cls * 7 + c) % 5);
+      }
+      train.y.push_back(static_cast<int>(cls));
+    }
+  }
+  ml::Qda qda;
+  qda.fit(train);
+
+  linalg::Matrix all(dim, 64);
+  for (double& v : all.data()) v = 2.0 * random_signal(1, rng)[0];
+  const linalg::Matrix ref = qda.scores_batch(all);
+  for (std::size_t lanes = 1; lanes <= 16; ++lanes) {
+    for (std::size_t first = 0; first + lanes <= 64; first += 13) {
+      linalg::Matrix x(dim, lanes);
+      for (std::size_t r = 0; r < dim; ++r) {
+        for (std::size_t l = 0; l < lanes; ++l) x(r, l) = all(r, first + l);
+      }
+      const linalg::Matrix got = qda.scores_batch(x);
+      for (std::size_t c = 0; c < classes; ++c) {
+        for (std::size_t l = 0; l < lanes; ++l) {
+          ASSERT_EQ(got(c, l), ref(c, first + l))
+              << "lanes " << lanes << " window " << first + l << " class " << c;
+        }
+      }
+    }
   }
 }
 
@@ -599,6 +719,19 @@ class BatchModelFixture : public ::testing::Test {
     EXPECT_TRUE(same_bits(batch.log_posterior, single.log_posterior)) << "window " << window;
   }
 };
+
+// The class-lane QDA form is packed at load as well as at fit: a model read
+// back from its archive scores a one-window call with the trained bits.
+TEST_F(BatchModelFixture, ArchiveLoadedModelScoresOneWindowLikeTheTrainedOne) {
+  std::stringstream archive;
+  core::save_disassembler(archive, model());
+  const core::HierarchicalDisassembler loaded = core::load_disassembler(archive);
+  const sim::TraceSet pool = mixed_windows(12);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    expect_identical(loaded.classify_scored(pool[i]), model().classify_scored(pool[i]), i);
+    expect_identical(loaded.classify(pool[i]), model().classify(pool[i]), i);
+  }
+}
 
 // classify() is a one-window batch; every batch size from 1 to 64 must
 // reproduce it window for window, plain and scored (posterior included).

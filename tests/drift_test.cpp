@@ -13,7 +13,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -116,6 +118,37 @@ TEST_F(DriftFixture, MonitorFeaturesMatchMomentSpace) {
   const sim::TraceSet probe = campaign.capture_class(drift_classes()[0], 1, 1, rng);
   const linalg::Vector f = model()->monitor_features(probe.front());
   EXPECT_EQ(f.size(), moments().mean.size());
+}
+
+// monitor_features is a one-window batch; the training moments were pooled
+// from the scalar FeaturePipeline::transform of the same training windows,
+// so re-pooling monitor_features over them in the same order must
+// reproduce the moments bit for bit.
+TEST_F(DriftFixture, MonitorFeaturesMatchScalarTransformBitForBit) {
+  const core::ProfilingData data = profile_clean(50);
+  const std::size_t dim = moments().mean.size();
+  linalg::Vector mean(dim, 0.0), sq(dim, 0.0);
+  std::size_t n = 0;
+  for (const auto& [cls, traces] : data.classes) {
+    (void)cls;
+    for (const sim::Trace& t : traces) {
+      const linalg::Vector f = model()->monitor_features(t);
+      ASSERT_EQ(f.size(), dim);
+      for (std::size_t c = 0; c < dim; ++c) {
+        mean[c] += f[c];
+        sq[c] += f[c] * f[c];
+      }
+      ++n;
+    }
+  }
+  ASSERT_EQ(n, moments().count);
+  for (std::size_t c = 0; c < dim; ++c) {
+    mean[c] /= static_cast<double>(n);
+    const double variance =
+        std::max(0.0, sq[c] / static_cast<double>(n) - mean[c] * mean[c]);
+    EXPECT_EQ(mean[c], moments().mean[c]) << "feature " << c;
+    EXPECT_EQ(variance, moments().variance[c]) << "feature " << c;
+  }
 }
 
 TEST_F(DriftFixture, MomentsSurviveSerializeRoundTripBitExactly) {
@@ -355,6 +388,45 @@ TEST_F(DriftFixture, FeatureDimensionMismatchThrows) {
   DriftMonitor monitor(model());
   linalg::Vector wrong(moments().mean.size() + 1, 0.0);
   EXPECT_THROW(monitor.observe_features(wrong, false), std::invalid_argument);
+}
+
+// A malformed window (a NaN sample, or no samples at all) changes nothing:
+// a monitor that saw clean, malformed, then clean windows ends bit-equal to
+// one that saw only the clean windows.
+TEST_F(DriftFixture, MalformedWindowsLeaveTheMonitorUntouched) {
+  sim::AcquisitionCampaign campaign{sim::DeviceModel::make(0),
+                                    sim::SessionContext::make(0)};
+  std::mt19937_64 rng{31};
+  sim::TraceSet clean;
+  for (std::size_t i = 0; i < 12; ++i) {
+    const std::size_t c = drift_classes()[i % drift_classes().size()];
+    clean.push_back(campaign.capture_trace(avr::random_instance(c, rng),
+                                           sim::ProgramContext::make(int(i % 5)), rng));
+  }
+  sim::Trace nan_window = clean.front();
+  nan_window.samples[7] = std::numeric_limits<double>::quiet_NaN();
+  sim::Trace empty_window = clean.front();
+  empty_window.samples.clear();
+
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  for (const sim::Trace* bad : {&nan_window, &empty_window}) {
+    SCOPED_TRACE(bad == &nan_window ? "NaN window" : "empty window");
+    DriftMonitor seen(model()), clean_only(model());
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+      if (i == clean.size() / 2) seen.observe(*bad, model()->classify(*bad));
+      const core::Disassembly r = model()->classify(clean[i]);
+      seen.observe(clean[i], r);
+      clean_only.observe(clean[i], r);
+    }
+    EXPECT_TRUE(std::isfinite(seen.z_rms()));
+    EXPECT_TRUE(same_bits(seen.z_rms(), clean_only.z_rms()));
+    EXPECT_TRUE(same_bits(seen.symmetric_kl(), clean_only.symmetric_kl()));
+    EXPECT_TRUE(same_bits(seen.reject_rate(), clean_only.reject_rate()));
+    EXPECT_EQ(seen.observations(), clean_only.observations());
+    EXPECT_EQ(seen.events_raised(), clean_only.events_raised());
+  }
 }
 
 TEST_F(DriftFixture, IdenticalStreamsProduceBitIdenticalStatistics) {

@@ -13,6 +13,8 @@
 //    drift monitor attributes drift to the channel that actually moved.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <random>
@@ -370,6 +372,33 @@ TEST(FusionRuntime, OneChannelRecalibratesWhileTheOtherServes) {
   for (const auto& r : results) EXPECT_EQ(r.model_stamp, outcome.stamp);
   EXPECT_EQ(engine.stats().model_swaps, 1u);
   EXPECT_EQ(engine.stats().recalibrations, 1u);
+}
+
+// A paired window whose power half is malformed leaves the power monitor
+// bit-equal to one that never saw the window; its clean EM half still counts.
+TEST(FusionRuntime, DriftMonitorSkipsAMalformedHalf) {
+  auto fused = std::make_shared<const FusedDisassembler>(balanced_fused());
+  runtime::FusedDriftMonitor seen(fused), clean_only(fused);
+  sim::Trace bad = world().probes[20];
+  bad.samples[3] = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t i = 0; i < 16; ++i) {
+    if (i == 8) seen.observe(bad, fused->classify(bad));
+    const Disassembly r = fused->classify(world().probes[i]);
+    seen.observe(world().probes[i], r);
+    clean_only.observe(world().probes[i], r);
+  }
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  const runtime::DriftMonitor& p = seen.power_monitor();
+  const runtime::DriftMonitor& q = clean_only.power_monitor();
+  EXPECT_TRUE(std::isfinite(p.z_rms()));
+  EXPECT_TRUE(same_bits(p.z_rms(), q.z_rms()));
+  EXPECT_TRUE(same_bits(p.symmetric_kl(), q.symmetric_kl()));
+  EXPECT_TRUE(same_bits(p.reject_rate(), q.reject_rate()));
+  EXPECT_EQ(p.observations(), q.observations());
+  ASSERT_NE(seen.em_monitor(), nullptr);
+  EXPECT_EQ(seen.em_monitor()->observations(), clean_only.em_monitor()->observations() + 1);
 }
 
 TEST(FusionRuntime, DriftMonitorAttributesProbeDriftToTheEmChannel) {
